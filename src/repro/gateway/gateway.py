@@ -7,8 +7,9 @@ shards — each a serial drain task on the supplied
 alike — pull them out in batches and maintain the materialized views.
 The gateway object itself holds no per-event state: ``submit`` is a
 stable hash plus a shard enqueue, and a global snapshot is a *merge* of
-per-shard snapshots (mergeable :class:`StationWindow` buckets and
-:class:`LatencySummary` samples), never a stop-the-world scan.
+per-shard reads (station rates sum each shard's additive per-station
+counts, :class:`LatencySummary` samples merge exactly), never a
+stop-the-world scan.
 
 Determinism: with a :class:`~repro.clock.ManualClock` nothing here
 sleeps — shard drains are triggered by wakes (which both reactor
@@ -26,7 +27,6 @@ from typing import Dict, List, Optional
 from repro.clock import Clock, SystemClock
 from repro.gateway.events import ScanEvent, shard_of
 from repro.gateway.shard import IngestShard
-from repro.gateway.views import StationWindow
 from repro.metrics.fairness import LatencySummary
 
 
@@ -79,6 +79,7 @@ class FleetGateway:
             raise ValueError("need at least one shard")
         self._reactor = reactor
         self._clock: Clock = clock if clock is not None else SystemClock()
+        self._window_seconds = window_seconds
         self._drain_cond = threading.Condition()
         self._shards: List[IngestShard] = [
             IngestShard(
@@ -147,15 +148,16 @@ class FleetGateway:
             self._shards[index].submit_many(chunk)
 
     def drain(self, timeout: float = 10.0) -> bool:
-        """Block until every shard queue is empty (or ``timeout`` passes).
+        """Block until every shard is idle (or ``timeout`` passes).
 
         A condition barrier, not a sleep loop: shards notify whenever a
-        drain step leaves their queue empty. Returns ``True`` when the
-        backlog reached zero.
+        drain step leaves them idle. A shard is idle only once its queue
+        is empty *and* the last batch swapped out of it is applied, so
+        ``True`` means every submitted event is visible in the views.
         """
         deadline = time.monotonic() + timeout
         with self._drain_cond:
-            while any(shard.queue_depth for shard in self._shards):
+            while not all(shard.idle for shard in self._shards):
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return False
@@ -173,22 +175,24 @@ class FleetGateway:
     def station_rates(
         self, now_seconds: Optional[float] = None
     ) -> Dict[str, Dict[str, object]]:
-        """Per-station totals and windowed rates, merged across shards."""
+        """Per-station totals and windowed rates, summed across shards."""
         now = self._clock.now() if now_seconds is None else now_seconds
-        merged: Dict[str, StationWindow] = {}
+        sums: Dict[str, List[int]] = {}
         for shard in self._shards:
-            for station, window in shard.station_windows().items():
-                existing = merged.get(station)
-                merged[station] = (
-                    window if existing is None else existing.merge(window)
-                )
+            for station, (total, windowed) in shard.station_counts(now).items():
+                row = sums.get(station)
+                if row is None:
+                    sums[station] = [total, windowed]
+                else:
+                    row[0] += total
+                    row[1] += windowed
         return {
             station: {
-                "total": window.total,
-                "windowed": window.windowed_count(now),
-                "rate_per_second": window.rate_per_second(now),
+                "total": total,
+                "windowed": windowed,
+                "rate_per_second": windowed / self._window_seconds,
             }
-            for station, window in sorted(merged.items())
+            for station, (total, windowed) in sorted(sums.items())
         }
 
     def lease_leaderboard(self, top: int = 10) -> List[Dict[str, object]]:

@@ -3,8 +3,8 @@
 A shard owns the slice of tags whose uid hashes to it (see
 :func:`repro.gateway.events.shard_of`) and everything derived from
 them: their travel histories, their lease-contention rows, and its own
-per-station throughput windows (stations span shards; the gateway merges
-window objects at snapshot time).
+per-station throughput windows (stations span shards; the gateway sums
+each shard's per-station counts at read time).
 
 Hot-path discipline:
 
@@ -18,6 +18,12 @@ Hot-path discipline:
   lock, applies them to the views under the views lock, and returns an
   immediate deadline while a backlog remains — so one shard never
   monopolizes a reactor worker for longer than a batch.
+* view maintenance costs O(batch), not O(stations): expiry trims only
+  the windows the batch touched (a late event is trimmed in its own
+  batch), and sweeps every window only when the bucket horizon has
+  moved since the last sweep — once per ``bucket_seconds``. After every
+  batch each window holds exactly what trimming all of them would
+  leave.
 * ingest latency is sampled per event into a bounded ring
   (``deque(maxlen=...)``), summarized on demand as a
   :class:`~repro.metrics.fairness.LatencySummary` — which is mergeable,
@@ -28,11 +34,11 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.clock import Clock
 from repro.gateway.events import LEASE_KINDS, ScanEvent
-from repro.gateway.views import LeaseBoard, StationWindow, TravelHistory
+from repro.gateway.views import LeaseBoard, StationWindow, TravelHistory, bucket_horizon
 from repro.metrics.fairness import LatencySummary
 
 
@@ -69,6 +75,10 @@ class IngestShard:
         self.submitted = 0  # events accepted into the queue (counts summed)
         self.dropped = 0  # events shed on overflow (monotonic)
         self.queue_high_water = 0
+        # True from the moment a drain step swaps a batch out of the
+        # queue until that batch is applied, so idle never reports an
+        # empty queue whose events are not yet visible.
+        self._applying = False
 
         # Consumer side: views + ingest counters, guarded by _views_lock
         # (written only inside the serial drain step; read by snapshots).
@@ -79,6 +89,7 @@ class IngestShard:
         self._travel: Dict[str, TravelHistory] = {}
         self._stations: Dict[str, StationWindow] = {}
         self._lease_board = LeaseBoard()
+        self._swept_horizon: Optional[int] = None  # horizon of the last full sweep
 
         self._task = reactor.register(self._drain_step, name=f"gw-shard-{index}")
 
@@ -127,6 +138,12 @@ class IngestShard:
         with self._lock:
             return len(self._queue)
 
+    @property
+    def idle(self) -> bool:
+        """Nothing queued and no batch mid-apply: every event is visible."""
+        with self._lock:
+            return not self._queue and not self._applying
+
     # -- consumer side (serial drain task) -------------------------------------------
 
     def _drain_step(self) -> Optional[float]:
@@ -143,8 +160,11 @@ class IngestShard:
                 batch = queue[: self._max_batch]
                 del queue[: self._max_batch]
                 backlog = True
+            self._applying = bool(batch)
         if batch:
             self._apply_batch(batch)
+            with self._lock:
+                self._applying = False
         if backlog:
             return self._clock.now()  # immediate requeue: keep draining
         if self._on_idle is not None:
@@ -159,6 +179,7 @@ class IngestShard:
             board = self._lease_board
             latencies = self._latencies
             count_total = 0
+            touched = set()
             for event in batch:
                 count_total += event.count
                 if event.enqueued_at is not None:
@@ -177,9 +198,16 @@ class IngestShard:
                     window = StationWindow(self._window_seconds, self._bucket_seconds)
                     stations[event.station] = window
                 window.add(event.at_seconds, event.count)
+                touched.add(window)
             self.ingested += count_total
             self.batches += 1
-            for window in stations.values():
+            horizon = bucket_horizon(
+                applied_at, self._window_seconds, self._bucket_seconds
+            )
+            if horizon != self._swept_horizon:
+                self._swept_horizon = horizon
+                touched = stations.values()  # the horizon moved: sweep them all
+            for window in touched:
                 window.trim(applied_at)
 
     # -- snapshots (any thread) --------------------------------------------------------
@@ -189,13 +217,16 @@ class IngestShard:
             history = self._travel.get(tag_uid)
             return history.as_dict() if history is not None else None
 
-    def station_windows(self) -> Dict[str, StationWindow]:
-        """Merged-safe copies of this shard's station windows."""
+    def station_counts(self, now_seconds: float) -> Dict[str, Tuple[int, int]]:
+        """``(total, windowed_count(now_seconds))`` per station, in one pass.
+
+        Both numbers add exactly across shards — a merged window's
+        windowed count is the sum of its parts — so the gateway sums
+        these instead of merging copies of the windows.
+        """
         with self._views_lock:
             return {
-                station: window.merge(StationWindow(
-                    self._window_seconds, self._bucket_seconds
-                ))
+                station: (window.total, window.windowed_count(now_seconds))
                 for station, window in self._stations.items()
             }
 

@@ -59,6 +59,16 @@ class TravelHistory:
         }
 
 
+def bucket_horizon(
+    now_seconds: float, window_seconds: float, bucket_seconds: float
+) -> int:
+    """Index of the oldest bucket still inside the window at ``now_seconds``.
+
+    Buckets below it have slid out. It moves once per ``bucket_seconds``.
+    """
+    return int((now_seconds - window_seconds) // bucket_seconds)
+
+
 class StationWindow:
     """Bucketed sliding-window event counter for one station."""
 
@@ -79,13 +89,13 @@ class StationWindow:
 
     def trim(self, now_seconds: float) -> None:
         """Drop buckets that slid out of the window."""
-        horizon = int((now_seconds - self.window_seconds) // self.bucket_seconds)
+        horizon = bucket_horizon(now_seconds, self.window_seconds, self.bucket_seconds)
         stale = [index for index in self.buckets if index < horizon]
         for index in stale:
             del self.buckets[index]
 
     def windowed_count(self, now_seconds: float) -> int:
-        horizon = int((now_seconds - self.window_seconds) // self.bucket_seconds)
+        horizon = bucket_horizon(now_seconds, self.window_seconds, self.bucket_seconds)
         return sum(
             count for index, count in self.buckets.items() if index >= horizon
         )

@@ -50,7 +50,11 @@ def percentile(sample: Sequence[float], p: float) -> float:
         raise ValueError("percentile of an empty sample")
     if not 0.0 <= p <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {p}")
-    ordered = sorted(sample)
+    return _nearest_rank(sorted(sample), p)
+
+
+def _nearest_rank(ordered: Sequence[float], p: float) -> float:
+    """Nearest-rank percentile ``p`` of an already sorted, non-empty sample."""
     if p == 0.0:
         return ordered[0]
     rank = math.ceil(p / 100.0 * len(ordered))
@@ -82,8 +86,8 @@ class LatencySummary:
             self.mean: Optional[float] = None
         else:
             ordered = self.sample
-            self.p50 = percentile(ordered, 50.0)
-            self.p99 = percentile(ordered, 99.0)
+            self.p50 = _nearest_rank(ordered, 50.0)
+            self.p99 = _nearest_rank(ordered, 99.0)
             self.min = ordered[0]
             self.max = ordered[-1]
             self.mean = sum(ordered) / self.count

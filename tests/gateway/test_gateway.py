@@ -5,6 +5,9 @@ Every test runs under a :class:`ManualClock` — drains are wake-driven
 ``drain()`` condition barrier replaces sleeps.
 """
 
+import random
+import threading
+
 import pytest
 
 from repro.clock import ManualClock
@@ -146,10 +149,84 @@ class TestIngestion:
         assert "gate-0" in snap["station_rates"]
         assert snap["ingest_latency"]["count"] == 1
 
+    def test_drain_waits_for_the_batch_in_flight(self, live, monkeypatch):
+        """A batch swapped out of the queue but not yet applied keeps
+        drain() waiting: the queue already reads empty, the views do not
+        yet show the event."""
+        _clock, _reactor, gateway = live
+        shard = gateway.shards[shard_of("tag-1", gateway.shard_count)]
+        entered = threading.Event()
+        release = threading.Event()
+        apply_batch = shard._apply_batch
+
+        def held(batch):
+            entered.set()
+            release.wait(10.0)  # bounded, so a broken barrier cannot hang the suite
+            apply_batch(batch)
+
+        monkeypatch.setattr(shard, "_apply_batch", held)
+        gateway.submit(scan("tag-1", "gate-0", 0.0))
+        assert entered.wait(5.0)
+        assert gateway.telemetry()["queue_depth"] == 0
+        assert gateway.drain(timeout=0.2) is False
+        assert gateway.telemetry()["events_ingested"] == 0
+
+        release.set()
+        assert gateway.drain(timeout=5.0)
+        assert gateway.telemetry()["events_ingested"] == 1
+        assert gateway.travel_history("tag-1")["scans"] == 1
+
     def test_rejects_zero_shards(self, live):
         _clock, reactor, _gateway = live
         with pytest.raises(ValueError):
             FleetGateway(reactor, shards=0)
+
+
+class TestStationRatesDifferential:
+    """``station_rates`` sums per-shard counts; the reference merges the
+    per-shard windows with ``StationWindow.merge`` and reads the merge."""
+
+    def test_summed_counts_equal_merged_windows(self, live):
+        clock, _reactor, gateway = live
+        rng = random.Random(17)
+        for _ in range(60):
+            clock.advance(rng.uniform(0.0, 4.0))
+            gateway.submit_batch(
+                [
+                    scan(f"tag-{rng.randrange(200)}", f"gate-{rng.randrange(6)}",
+                         clock.now(), count=rng.randint(1, 3))
+                    for _ in range(rng.randint(1, 8))
+                ]
+            )
+            assert gateway.drain(timeout=5.0)
+
+        merged = {}
+        shards_per_station = {}
+        for shard in gateway.shards:
+            for station, window in shard._stations.items():
+                merged[station] = (
+                    window if station not in merged else merged[station].merge(window)
+                )
+                shards_per_station[station] = shards_per_station.get(station, 0) + 1
+        assert max(shards_per_station.values()) > 1  # stations really span shards
+
+        end = clock.now()
+        aged_out = False
+        for now in (end - 50.0, end - 3.0, end, end + 2.5, end + 30.0, end + 61.0,
+                    end + 200.0):
+            expected = {
+                station: {
+                    "total": window.total,
+                    "windowed": window.windowed_count(now),
+                    "rate_per_second": window.rate_per_second(now),
+                }
+                for station, window in sorted(merged.items())
+            }
+            rates = gateway.station_rates(now)
+            assert list(rates) == list(expected)
+            assert rates == expected
+            aged_out |= any(row["windowed"] < row["total"] for row in rates.values())
+        assert aged_out  # some buckets had left the window
 
 
 class TestShardDeterministic:

@@ -1,5 +1,7 @@
 """Jain's index, nearest-rank percentiles and latency summaries."""
 
+import random
+
 import pytest
 
 from repro.metrics import LatencySummary, jains_index, percentile
@@ -110,6 +112,29 @@ class TestLatencySummaryMerge:
         direct = LatencySummary(shard_a + shard_b + shard_c)
         assert merged.as_dict() == direct.as_dict()
         assert merged.count == len(shard_a) + len(shard_b) + len(shard_c)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_percentiles_match_percentile_function(self, seed):
+        """p50/p99 come from the sorted sample once; they must equal
+        :func:`percentile` over the raw sample, alone and merged."""
+        rng = random.Random(seed)
+        for size in (1, 2, 3, 99, 100, 101, rng.randrange(4, 500)):
+            parts = [
+                [rng.expovariate(20.0) for _ in range(rng.randrange(0, size + 1))]
+                for _ in range(3)
+            ]
+            parts[0].append(rng.random())  # never an all-empty union
+            union = [value for part in parts for value in part]
+            for summary, sample in (
+                (LatencySummary(parts[0]), parts[0]),
+                (LatencySummary.merged(LatencySummary(p) for p in parts), union),
+            ):
+                assert summary.p50 == percentile(sample, 50.0)
+                assert summary.p99 == percentile(sample, 99.0)
+        for sample in ([0.25], [0.5, 0.25]):
+            summary = LatencySummary.merged([LatencySummary(sample)])
+            assert summary.p50 == percentile(sample, 50.0) == min(sample)
+            assert summary.p99 == percentile(sample, 99.0) == max(sample)
 
     def test_merged_classmethod_of_nothing_is_empty(self):
         assert LatencySummary.merged([]).count == 0
