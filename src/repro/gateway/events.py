@@ -42,6 +42,14 @@ LEASE_KINDS = frozenset(
 )
 
 
+def check_event(kind: str, count: int) -> None:
+    """Raise ``ValueError`` unless ``kind`` is known and ``count`` positive."""
+    if kind not in _KIND_SET:
+        raise ValueError(f"unknown event kind {kind!r}; expected one of {EVENT_KINDS}")
+    if count <= 0:
+        raise ValueError("event count must be positive")
+
+
 class ScanEvent:
     """One reported fleet event (possibly a coalesced burst).
 
@@ -64,10 +72,7 @@ class ScanEvent:
         count: int = 1,
         detail: Optional[str] = None,
     ) -> None:
-        if kind not in _KIND_SET:
-            raise ValueError(f"unknown event kind {kind!r}; expected one of {EVENT_KINDS}")
-        if count <= 0:
-            raise ValueError("event count must be positive")
+        check_event(kind, count)
         self.kind = kind
         self.tag_uid = tag_uid
         self.station = station

@@ -22,12 +22,15 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.clock import Clock, SystemClock
 from repro.gateway.events import ScanEvent, shard_of
 from repro.gateway.shard import IngestShard
 from repro.metrics.fairness import LatencySummary
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.gateway.reporter import GatewayReporter
 
 
 class GatewaySnapshot:
@@ -97,11 +100,17 @@ class FleetGateway:
             for index in range(shards)
         ]
         self._shard_count = shards
-        # Reporters register themselves so fleet telemetry can account
-        # for device-side shedding too (drops before the gateway ever
-        # saw the event), not just shard-queue overflow.
+        # Device-side accounting, so fleet telemetry covers drops before
+        # the gateway ever saw the event, not just shard-queue overflow.
+        # Reporters count themselves in and hand over each shed as it
+        # happens; only reporters with a discoverer attached are kept, as
+        # stream-drop sources. _reporters_lock is a leaf lock: nothing is
+        # called while it is held, so a reporter may take it from any
+        # callback (settle-path taps included) without forming a cycle.
         self._reporters_lock = threading.Lock()
-        self._reporters: List[object] = []
+        self._reporter_count = 0
+        self._reporter_dropped = 0
+        self._stream_sources: List["GatewayReporter"] = []
         self._closed = False
 
     # -- wiring ---------------------------------------------------------------------
@@ -118,9 +127,20 @@ class FleetGateway:
     def shards(self) -> List[IngestShard]:
         return list(self._shards)
 
-    def register_reporter(self, reporter) -> None:
+    def register_reporter(self, reporter: "GatewayReporter") -> None:
+        """Count ``reporter`` in ``telemetry()["reporters"]``."""
         with self._reporters_lock:
-            self._reporters.append(reporter)
+            self._reporter_count += 1
+
+    def register_stream_source(self, reporter: "GatewayReporter") -> None:
+        """Sum ``reporter.stream_dropped`` into ``events_dropped_streams``."""
+        with self._reporters_lock:
+            self._stream_sources.append(reporter)
+
+    def count_reporter_drops(self, count: int) -> None:
+        """Add ``count`` events a reporter shed to ``events_dropped_reporter``."""
+        with self._reporters_lock:
+            self._reporter_dropped += count
 
     def _notify_idle(self) -> None:
         with self._drain_cond:
@@ -221,17 +241,17 @@ class FleetGateway:
         )
 
     def telemetry(self) -> Dict[str, object]:
-        """Counters only — cheap enough to poll every dashboard tick."""
+        """Counters only — cheap enough to poll every dashboard tick.
+
+        O(shards): reporter drops are a running total kept here, and
+        only reporters with a discoverer attached are read.
+        """
         shard_stats = [shard.stats_snapshot() for shard in self._shards]
         with self._reporters_lock:
-            reporter_dropped = sum(
-                getattr(reporter, "dropped", 0) for reporter in self._reporters
-            )
-            stream_dropped = sum(
-                getattr(reporter, "stream_dropped", 0)
-                for reporter in self._reporters
-            )
-            reporter_count = len(self._reporters)
+            reporter_dropped = self._reporter_dropped
+            reporter_count = self._reporter_count
+            stream_sources = list(self._stream_sources)
+        stream_dropped = sum(reporter.stream_dropped for reporter in stream_sources)
         return {
             "shards": self._shard_count,
             "events_submitted": sum(s["submitted"] for s in shard_stats),

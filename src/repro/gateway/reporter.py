@@ -5,8 +5,10 @@ gateway, and its one hard rule is that **reporting never blocks the
 radio path**: ``record`` is an O(1) append under a short lock, with
 
 * a *bounded* buffer — overflow sheds the **oldest** pending event and
-  pays a monotonic ``dropped`` counter (surfaced in gateway telemetry;
-  shedding is accounted, never silent);
+  pays a monotonic ``dropped`` counter; the same shed count is handed to
+  the gateway as it happens, after the reporter's lock is released, so
+  ``FleetGateway.telemetry()`` reads a running total instead of every
+  reporter (shedding is accounted, never silent);
 * *coalescing* — a burst of identical events (same kind/tag/station)
   folds into the tail record's ``count`` instead of queueing
   duplicates, which is what keeps a redetection storm cheap;
@@ -33,7 +35,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, List, Optional, TYPE_CHECKING
 
-from repro.gateway.events import ScanEvent
+from repro.gateway.events import ScanEvent, check_event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.discovery import TagDiscoverer
@@ -79,29 +81,27 @@ class GatewayReporter:
         gateway.register_reporter(self)
 
     # -- counters --------------------------------------------------------------------
+    # Reads take no lock: each is one attribute load or one len(), which
+    # the interpreter lock makes atomic. Writes happen under _lock.
 
     @property
     def dropped(self) -> int:
         """Events shed on buffer overflow (monotonic, never resets)."""
-        with self._lock:
-            return self._dropped
+        return self._dropped
 
     @property
     def coalesced(self) -> int:
         """Events folded into an existing buffered record."""
-        with self._lock:
-            return self._coalesced
+        return self._coalesced
 
     @property
     def recorded(self) -> int:
         """Everything record() accepted (shed + coalesced + delivered)."""
-        with self._lock:
-            return self._recorded
+        return self._recorded
 
     @property
     def pending(self) -> int:
-        with self._lock:
-            return len(self._buffer)
+        return len(self._buffer)
 
     @property
     def stream_dropped(self) -> int:
@@ -117,10 +117,16 @@ class GatewayReporter:
         count: int = 1,
         detail: Optional[str] = None,
     ) -> None:
-        """Buffer one event; O(1), never blocks on the gateway."""
+        """Buffer one event; O(1), never blocks on the gateway.
+
+        An unknown ``kind`` or a ``count`` below 1 raises ``ValueError``
+        before any counter or the buffer changes.
+        """
+        check_event(kind, count)
         at = self._clock.now()
         arm_timer = False
         flush_now = False
+        shed = 0
         with self._lock:
             if self._closed:
                 return
@@ -141,13 +147,15 @@ class GatewayReporter:
             buffer.append(ScanEvent(kind, tag_uid, self.station, at, count, detail))
             depth = len(buffer)
             if depth > self._max_buffer:
-                shed = buffer.pop(0)
-                self._dropped += shed.count
+                shed = buffer.pop(0).count
+                self._dropped += shed
                 depth -= 1
             if depth >= self._max_batch:
                 flush_now = True
             elif depth == 1 and self._task is not None and self._flush_interval:
                 arm_timer = True
+        if shed:
+            self._gateway.count_reporter_drops(shed)
         if flush_now:
             if self._task is not None:
                 self._task.wake()
@@ -179,7 +187,11 @@ class GatewayReporter:
             self.record("scan", reference.uid_hex, detail=event)
 
         discoverer.add_detection_listener(on_detection)
-        self._discoverers.append(discoverer)
+        with self._lock:
+            first = not self._discoverers
+            self._discoverers.append(discoverer)
+        if first:
+            self._gateway.register_stream_source(self)
         self._detachers.append(
             lambda: discoverer.remove_detection_listener(on_detection)
         )

@@ -222,9 +222,22 @@ class IngestShard:
 
         Both numbers add exactly across shards — a merged window's
         windowed count is the sum of its parts — so the gateway sums
-        these instead of merging copies of the windows.
+        these instead of merging copies of the windows. After every
+        batch no window holds a bucket below ``_swept_horizon``, so
+        while ``now_seconds``' horizon is not past it a windowed count
+        is the sum of the window's buckets; a read ahead of the last
+        sweep counts through ``windowed_count``. Nothing is trimmed.
         """
+        horizon = bucket_horizon(
+            now_seconds, self._window_seconds, self._bucket_seconds
+        )
         with self._views_lock:
+            swept = self._swept_horizon
+            if swept is not None and horizon <= swept:
+                return {
+                    station: (window.total, sum(window.buckets.values()))
+                    for station, window in self._stations.items()
+                }
             return {
                 station: (window.total, window.windowed_count(now_seconds))
                 for station, window in self._stations.items()

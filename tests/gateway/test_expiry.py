@@ -13,7 +13,7 @@ import pytest
 
 from repro.clock import ManualClock
 from repro.gateway import IngestShard
-from repro.gateway.views import StationWindow
+from repro.gateway.views import StationWindow, bucket_horizon
 
 from tests.gateway.test_gateway import InertReactor, scan
 
@@ -100,6 +100,60 @@ class TestExpiryEquivalence:
                     assert window.total == expected.total, station
             assert shard.idle
         assert late > 0  # the stream really exercised late events
+
+
+class TestStationCounts:
+    """``station_counts`` sums a window's buckets while the read's horizon
+    is not past the last sweep; the reference is ``windowed_count`` on
+    every window, read at times around, behind and ahead of that sweep."""
+
+    @staticmethod
+    def check(shard, copies, now, paths):
+        expected = {
+            station: (window.total, window.windowed_count(now))
+            for station, window in copies.items()
+        }
+        assert shard.station_counts(now) == expected, now
+        swept = shard._swept_horizon
+        paths.add(swept is not None and bucket_horizon(now, WINDOW, BUCKET) <= swept)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 20121203])
+    def test_counts_match_windowed_count(self, seed):
+        clock = ManualClock()
+        reactor = InertReactor()
+        shard = IngestShard(0, reactor, clock, max_batch=4,
+                            window_seconds=WINDOW, bucket_seconds=BUCKET)
+        (task,) = reactor.tasks
+        rng = random.Random(seed)
+        paths = set()
+        shard.submit(scan("tag-0", "gate-0", 0.0))
+        self.check(shard, {}, 0.0, paths)  # before the first batch
+        for advance, events in seeded_stream(rng, 300):
+            clock.advance(advance)
+            shard.submit_many(events)
+            while task.run() is not None:
+                pass
+            # Copies taken after the batch, so a read that trimmed the
+            # shard's own windows would show in a later, earlier read.
+            copies = {
+                station: window.merge(StationWindow(WINDOW, BUCKET))
+                for station, window in shard._stations.items()
+            }
+            now = clock.now()
+            reads = [
+                now,
+                now - rng.uniform(BUCKET, 3 * WINDOW),  # behind the last sweep
+                (now // BUCKET) * BUCKET,  # on the current bucket boundary
+                (now // BUCKET + 1) * BUCKET,  # on the next one: ahead
+                now + rng.uniform(0.0, WINDOW + 2 * BUCKET),  # ahead
+            ]
+            reads += sorted(  # decreasing, from ahead to behind
+                (now + rng.uniform(-WINDOW, 2 * WINDOW) for _ in range(4)),
+                reverse=True,
+            )
+            for at in reads:
+                self.check(shard, copies, at, paths)
+        assert paths == {True, False}  # both the bucket sum and the exact count ran
 
 
 class TestExpiryCost:

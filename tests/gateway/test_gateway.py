@@ -6,11 +6,13 @@ Every test runs under a :class:`ManualClock` — drains are wake-driven
 """
 
 import random
+import sys
 import threading
 
 import pytest
 
 from repro.clock import ManualClock
+from repro.concurrent import wait_until
 from repro.core.scheduler import Reactor
 from repro.gateway import (
     FleetGateway,
@@ -148,6 +150,10 @@ class TestIngestion:
         assert snap["telemetry"]["events_ingested"] == 1
         assert "gate-0" in snap["station_rates"]
         assert snap["ingest_latency"]["count"] == 1
+        # The snapshot is the separate reads, taken at its own time.
+        assert snap["telemetry"] == gateway.telemetry()
+        assert snap["station_rates"] == gateway.station_rates(snap["at_seconds"])
+        assert snap["lease_leaderboard"] == gateway.lease_leaderboard(top=5)
 
     def test_drain_waits_for_the_batch_in_flight(self, live, monkeypatch):
         """A batch swapped out of the queue but not yet applied keeps
@@ -315,6 +321,111 @@ class TestReporterIntegration:
         assert telemetry["events_ingested"] == 2
         assert telemetry["events_dropped_reporter"] == 3
         assert telemetry["reporters"] == 1
+
+    def test_telemetry_reads_no_reporter(self, monkeypatch):
+        gateway = FleetGateway(InertReactor(), clock=ManualClock(), shards=4)
+        reporters = [
+            GatewayReporter(gateway, f"gate-{index:04d}", max_buffer=2,
+                            max_batch=100, flush_interval=None)
+            for index in range(1000)
+        ]
+        for reporter in reporters[::100]:  # sheds in 10 of them, 3 each
+            for index in range(5):
+                reporter.record("scan", f"tag-{index}")
+        reads = []
+        for name in ("dropped", "stream_dropped"):
+            def counting(reporter, _get=getattr(GatewayReporter, name).fget,
+                         _name=name):
+                reads.append(_name)
+                return _get(reporter)
+
+            monkeypatch.setattr(GatewayReporter, name, property(counting))
+
+        telemetry = gateway.telemetry()
+        assert reads == []
+        # Same keys, in the same order, and the values the per-reporter
+        # sums give.
+        assert list(telemetry) == [
+            "shards", "events_submitted", "events_ingested",
+            "events_dropped_queue", "events_dropped_reporter",
+            "events_dropped_streams", "batches", "queue_depth",
+            "queue_high_water", "tags_tracked", "reporters", "per_shard",
+        ]
+        assert telemetry["events_dropped_reporter"] == 30
+        assert telemetry["events_dropped_reporter"] == sum(
+            reporter.dropped for reporter in reporters
+        )
+        assert telemetry["events_dropped_streams"] == sum(
+            reporter.stream_dropped for reporter in reporters
+        ) == 0
+        assert telemetry["reporters"] == len(reporters)
+        assert len(reads) == 2 * len(reporters)  # the wrappers do count
+        assert gateway.snapshot().as_dict()["telemetry"] == telemetry
+
+    def test_drop_accounting_under_concurrent_producers(self, live):
+        """Four producers shed into 64 two-slot reporters while a reader
+        polls telemetry(); the gateway's running total never goes back
+        and balances exactly once the producers stop."""
+        _clock, reactor, gateway = live
+        reporters = [
+            GatewayReporter(gateway, f"gate-{index:02d}", reactor=reactor,
+                            max_buffer=2, max_batch=2)
+            for index in range(64)
+        ]
+        stop = threading.Event()
+        seen = []
+
+        def produce(seed):
+            rng = random.Random(seed)
+            for step in range(500):
+                reporter = reporters[rng.randrange(len(reporters))]
+                for burst in range(3):  # one more than the buffer holds
+                    reporter.record("scan", f"tag-{seed}-{step}-{burst}")
+
+        def read():
+            while not stop.wait(0.0005):
+                seen.append(gateway.telemetry()["events_dropped_reporter"])
+
+        producers = [
+            threading.Thread(target=produce, args=(seed,)) for seed in range(4)
+        ]
+        reader = threading.Thread(target=read)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reader.start()
+            for thread in producers:
+                thread.start()
+            for thread in producers:
+                thread.join(timeout=30.0)
+            stop.set()
+            reader.join(timeout=10.0)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in producers)
+        assert not reader.is_alive()
+        assert seen
+        assert all(a <= b for a, b in zip(seen, seen[1:]))
+
+        for reporter in reporters:
+            reporter.flush()
+        recorded = sum(reporter.recorded for reporter in reporters)
+        dropped = sum(reporter.dropped for reporter in reporters)
+        assert recorded == 4 * 500 * 3
+        assert dropped > 0
+
+        def delivered():
+            telemetry = gateway.telemetry()
+            return telemetry["events_submitted"] + telemetry["events_dropped_reporter"]
+
+        # A reporter's flush task may still hold a batch it swapped out.
+        assert wait_until(lambda: delivered() == recorded, timeout=10.0)
+        assert gateway.drain(timeout=10.0)
+        telemetry = gateway.telemetry()
+        assert telemetry["events_dropped_reporter"] == dropped
+        assert recorded == telemetry["events_submitted"] + dropped
+        assert telemetry["events_ingested"] == telemetry["events_submitted"]
 
 
 class TestFleetSimulation:

@@ -9,6 +9,7 @@ from repro.concurrent import EventLog, wait_until
 from repro.core.aio import tag_stream
 from repro.core.discovery import TagDiscoverer
 from repro.core.scheduler import Reactor
+from repro.gateway import FleetGateway
 from repro.gateway.reporter import GatewayReporter
 from repro.leasing.manager import LeaseManager
 
@@ -19,18 +20,28 @@ from tests.conftest import (
     string_converters,
     text_tag,
 )
+from tests.gateway.test_gateway import InertReactor
 
 
 class SinkGateway:
-    """A gateway double that just keeps the delivered batches."""
+    """A gateway double that keeps the delivered batches and what
+    reporters hand it: registrations, stream sources and shed counts."""
 
     def __init__(self, clock=None):
         self.clock = clock if clock is not None else ManualClock()
         self.batches = []
         self.reporters = []
+        self.stream_sources = []
+        self.reporter_drops = 0
 
     def register_reporter(self, reporter):
         self.reporters.append(reporter)
+
+    def register_stream_source(self, reporter):
+        self.stream_sources.append(reporter)
+
+    def count_reporter_drops(self, count):
+        self.reporter_drops += count
 
     def submit_batch(self, events):
         self.batches.append(list(events))
@@ -80,6 +91,7 @@ class TestBuffering:
             reporter.record("scan", f"tag-{index}")
         assert reporter.pending == 3
         assert reporter.dropped == 2  # tag-0 and tag-1 shed
+        assert sink.reporter_drops == 2  # handed to the gateway as they happen
         reporter.flush()
         assert [e.tag_uid for e in sink.delivered] == ["tag-2", "tag-3", "tag-4"]
 
@@ -93,6 +105,7 @@ class TestBuffering:
             reporter.record("scan", "tag-0")  # coalesces: one record, count=4
         reporter.record("scan", "tag-1")  # evicts it
         assert reporter.dropped == 4
+        assert sink.reporter_drops == 4
 
     def test_dropped_is_monotonic_across_flushes(self):
         sink = SinkGateway()
@@ -118,6 +131,39 @@ class TestBuffering:
         reporter.record("scan", "tag-2")
         assert len(sink.batches) == 1
         assert reporter.pending == 0
+
+    @staticmethod
+    def accounting(reporter):
+        return (
+            reporter.recorded,
+            reporter.coalesced,
+            reporter.dropped,
+            reporter.pending,
+            [(e.kind, e.tag_uid, e.count) for e in reporter._buffer],  # noqa: SLF001
+        )
+
+    def test_unknown_kind_rejected_before_accounting(self):
+        sink = SinkGateway()
+        reporter = GatewayReporter(sink, "gate-0", flush_interval=None)
+        before = self.accounting(reporter)
+        with pytest.raises(ValueError, match="unknown event kind 'bogus'"):
+            reporter.record("bogus", "tag-1")
+        assert self.accounting(reporter) == before
+        assert before == (0, 0, 0, 0, [])
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_nonpositive_count_rejected_before_coalescing(self, count):
+        sink = SinkGateway()
+        reporter = GatewayReporter(sink, "gate-0", flush_interval=None)
+        reporter.record("scan", "tag-1")  # a tail the bad count would merge into
+        before = self.accounting(reporter)
+        with pytest.raises(ValueError, match="event count must be positive"):
+            reporter.record("scan", "tag-1", count=count)
+        assert self.accounting(reporter) == before
+        assert before == (1, 0, 0, 1, [("scan", "tag-1", 1)])
+        reporter.flush()
+        (event,) = sink.delivered
+        assert event.count == 1
 
     def test_record_after_close_is_dropped_silently(self):
         sink = SinkGateway()
@@ -274,9 +320,12 @@ class TestStreamDropRollup:
         phone = scenario.add_phone("stream-phone")
         activity = scenario.start(phone, PlainNfcActivity)
         discoverer = TagDiscoverer(activity, TEXT_TYPE, *string_converters())
-        sink = SinkGateway()
-        reporter = GatewayReporter(sink, "gate-0", flush_interval=None)
+        quiet = TagDiscoverer(activity, TEXT_TYPE, *string_converters())
+        gateway = FleetGateway(InertReactor(), clock=ManualClock(), shards=2)
+        reporter = GatewayReporter(gateway, "gate-0", flush_interval=None)
         reporter.attach_discoverer(discoverer)
+        reporter.attach_discoverer(quiet)  # a second attach registers nothing more
+        GatewayReporter(gateway, "gate-1", flush_interval=None)  # no discoverer
 
         async def overflow():
             stream = tag_stream(discoverer, max_buffer=2)
@@ -291,3 +340,6 @@ class TestStreamDropRollup:
         # what the reporter (and gateway telemetry) surface.
         assert discoverer.stream_dropped == 3
         assert reporter.stream_dropped == 3
+        telemetry = gateway.telemetry()
+        assert telemetry["events_dropped_streams"] == reporter.stream_dropped
+        assert telemetry["reporters"] == 2
