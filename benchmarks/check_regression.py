@@ -9,10 +9,10 @@ either fix the regression or consciously commit the new numbers.
 
 Each guarded row declares its own direction and tolerance:
 
-* ``higher`` rows (throughput, density) fail when the fresh value drops
-  more than ``tolerance`` below the committed one;
-* ``lower`` rows (latency percentiles) fail when the fresh value rises
-  more than ``tolerance`` above it.
+* ``higher`` rows (throughput) fail when the fresh value drops more
+  than ``tolerance`` below the committed one;
+* ``lower`` rows (latency percentiles, memory per reference) fail when
+  the fresh value rises more than ``tolerance`` above it.
 
 Guarded rows:
 
@@ -26,9 +26,9 @@ Guarded rows:
 * ``BENCH_scaling.json`` ``reference_scaling.ops_per_second`` -- bulk
   reference throughput on the reactor pool (loose tolerance: it is
   CPU-bound, so noisier across machines than the sleep-bound rows);
-* ``BENCH_async.json`` ``idle_density.density_ratio`` -- how many more
-  idle references per MB the asyncio backend packs vs
-  thread-per-reference (the 100k-references tentpole);
+* ``BENCH_async.json`` ``idle_density.asyncio.kb_per_reference`` --
+  middleware memory per idle reference at 100k references on the
+  asyncio backend (the density tentpole);
 * ``BENCH_lint.json`` ``repo_lint.wall_seconds`` -- the repo-wide
   morelint sweep: flow-aware analysis must stay interactive (very
   loose tolerance, wall time on shared runners is noisy);
@@ -90,7 +90,8 @@ GUARDED_ROWS = [
     ),
     GuardedRow(
         "BENCH_async.json",
-        "idle_density.density_ratio",
+        "idle_density.asyncio.kb_per_reference",
+        direction="lower",
         tolerance=0.20,  # RSS-derived: page-rounding wiggle across kernels
     ),
     GuardedRow(

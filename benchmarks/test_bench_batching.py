@@ -42,6 +42,7 @@ WIFI_MIME = "application/vnd.morena.wificonfig"
 # one device, drained in a single tap window.
 CO_LOCATED_REFS = 8
 OPS_PER_REF = 2
+CO_LOCATED_TIMING = TransferTiming(base_seconds=0.02, seconds_per_byte=1e-4)
 
 _PAYLOAD = {}
 
@@ -147,35 +148,39 @@ def test_batched_writes_drain_in_one_tap(benchmark):
     emit_bench_json("batching", _PAYLOAD)
 
 
-def run_co_located_window(batched: bool) -> tuple:
+def co_located_payloads() -> list:
+    """``(ref_index, op_index, text)`` for every write, in enqueue order."""
+    return [
+        (ref_index, op_index, f"r{ref_index}-o{op_index}")
+        for ref_index in range(CO_LOCATED_REFS)
+        for op_index in range(OPS_PER_REF)
+    ]
+
+
+def run_co_located_window() -> tuple:
     """Drain ``CO_LOCATED_REFS`` references' queues through one tap
     window under a realistic latency model; returns (wall seconds,
     physical connect rounds). Per-reference FIFO is asserted inline."""
-    timing = TransferTiming(base_seconds=0.02, seconds_per_byte=1e-4)
-    with Scenario(timing=timing) as scenario:
+    with Scenario(timing=CO_LOCATED_TIMING) as scenario:
         phone = scenario.add_phone("phone")
         activity = scenario.start(phone, PlainNfcActivity)
         tag = text_tag("seed")
         read_conv, write_conv = string_converters()
         refs = [
-            TagReference(
-                Tag(tag, phone.port), activity, read_conv, write_conv,
-                batched=batched,
-            )
+            TagReference(Tag(tag, phone.port), activity, read_conv, write_conv)
             for _ in range(CO_LOCATED_REFS)
         ]
         logs = [EventLog() for _ in refs]
         done = EventLog()
-        for ref_index, ref in enumerate(refs):
-            for op_index in range(OPS_PER_REF):
-                refs[ref_index].write(
-                    f"r{ref_index}-o{op_index}",
-                    on_written=lambda _r, ri=ref_index, oi=op_index: (
-                        logs[ri].append(oi),
-                        done.append(1),
-                    ),
-                    timeout=30.0,
-                )
+        for ref_index, op_index, text in co_located_payloads():
+            refs[ref_index].write(
+                text,
+                on_written=lambda _r, ri=ref_index, oi=op_index: (
+                    logs[ri].append(oi),
+                    done.append(1),
+                ),
+                timeout=30.0,
+            )
         connects_before = phone.port.connects
         start = time.perf_counter()
         scenario.put(tag, phone)
@@ -186,10 +191,30 @@ def run_co_located_window(batched: bool) -> tuple:
         return elapsed, phone.port.connects - connects_before
 
 
+def run_standalone_writes() -> tuple:
+    """The unbatched baseline: the same writes, timed the same way, but
+    each one a standalone port round-trip that pays its own connect."""
+    with Scenario(timing=CO_LOCATED_TIMING) as scenario:
+        phone = scenario.add_phone("phone")
+        tag = text_tag("seed")
+        _read_conv, write_conv = string_converters()
+        messages = [
+            write_conv.convert(text) for _, _, text in co_located_payloads()
+        ]
+        connects_before = phone.port.connects
+        start = time.perf_counter()
+        scenario.put(tag, phone)
+        for message in messages:
+            phone.port.write_ndef(tag, message)
+        elapsed = time.perf_counter() - start
+        assert tag.read_ndef() == messages[-1]
+        return elapsed, phone.port.connects - connects_before
+
+
 def test_co_located_references_share_one_connect_per_window(benchmark):
-    unbatched_seconds, unbatched_connects = run_co_located_window(batched=False)
+    unbatched_seconds, unbatched_connects = run_standalone_writes()
     batched_seconds, batched_connects = benchmark.pedantic(
-        run_co_located_window, args=(True,), rounds=1, iterations=1
+        run_co_located_window, rounds=1, iterations=1
     )
 
     total_ops = CO_LOCATED_REFS * OPS_PER_REF

@@ -97,15 +97,15 @@ def b_latency_shared() -> float:
             executor.stop()
 
 
-def b_latency_morena(threaded: bool = False) -> float:
+def b_latency_morena() -> float:
     with Scenario() as scenario:
         phone = scenario.add_phone("morena")
         activity = scenario.start(phone, PlainNfcActivity)
         tag_a = text_tag("a")  # never in the field
         tag_b = text_tag("b")
         scenario.put(tag_b, phone)
-        ref_a = make_reference(activity, tag_a, phone, threaded=threaded)
-        ref_b = make_reference(activity, tag_b, phone, threaded=threaded)
+        ref_a = make_reference(activity, tag_a, phone)
+        ref_b = make_reference(activity, tag_b, phone)
         done_b = EventLog()
         start = time.monotonic()
         ref_a.write("to-a", timeout=A_TIMEOUT)
@@ -120,12 +120,8 @@ def b_latency_morena(threaded: bool = False) -> float:
 
 
 def test_no_cross_tag_head_of_line_blocking(benchmark):
-    shared_ms, reactor_ms, threaded_ms = benchmark.pedantic(
-        lambda: (
-            b_latency_shared() * 1000,
-            b_latency_morena() * 1000,
-            b_latency_morena(threaded=True) * 1000,
-        ),
+    shared_ms, reactor_ms = benchmark.pedantic(
+        lambda: (b_latency_shared() * 1000, b_latency_morena() * 1000),
         rounds=1,
         iterations=1,
     )
@@ -137,12 +133,9 @@ def test_no_cross_tag_head_of_line_blocking(benchmark):
     )
     table.add_row("shared FIFO executor", round(shared_ms, 1))
     table.add_row("per-reference loops (reactor pool)", round(reactor_ms, 1))
-    table.add_row("per-reference loops (thread each)", round(threaded_ms, 1))
     table.print()
 
     # The shared worker holds B hostage for roughly A's whole timeout.
     assert shared_ms >= A_TIMEOUT * 1000 * 0.8
-    # Per-reference loops finish B in a fraction of that -- in both the
-    # default reactor mode and the legacy thread-per-reference mode.
+    # Per-reference loops finish B in a fraction of that.
     assert reactor_ms < shared_ms / 3
-    assert threaded_ms < shared_ms / 3

@@ -2,8 +2,9 @@
 
 The per-port transaction scheduler (PR 5) batches all of one tag's work
 through one session — which is exactly wrong when several tags are
-co-present and one of them is *hot*: under the legacy whole-tag drain a
-deep backlog head-of-line blocks every neighbour until it is empty. The
+co-present and one of them is *hot*: under a whole-tag drain (the
+``SequentialDrainPolicy`` baseline from ``tests/conftest.py``) a deep
+backlog head-of-line blocks every neighbour until it is empty. The
 cross-tag service policies bound each tag's turn instead.
 
 Experiment: 1 hot tag (a deep write backlog) + 7 cold tags (modest
@@ -37,7 +38,12 @@ from repro.metrics import LatencySummary, jains_index, percentile
 from repro.radio.timing import TransferTiming
 
 from benchmarks.conftest import emit_bench_json
-from tests.conftest import PlainNfcActivity, string_converters, text_tag
+from tests.conftest import (
+    PlainNfcActivity,
+    SequentialDrainPolicy,
+    string_converters,
+    text_tag,
+)
 
 HOT_OPS = 128
 COLD_TAGS = 7
@@ -56,11 +62,17 @@ POLICY_VARIANTS = ("drain", "round_robin", "deficit")
 _PAYLOAD = {}
 
 
+def tx_policy(policy: str):
+    """The ``tx_policy`` for a variant name: the drain baseline is a
+    test-local class, the fair policies resolve by name."""
+    return SequentialDrainPolicy() if policy == "drain" else policy
+
+
 def run_hot_cold_field(policy: str) -> dict:
     """1 hot + 7 cold tags enter together under ``policy``; returns the
     fairness/HOL measurements for that run."""
     with Scenario(timing=TIMING) as scenario:
-        phone = scenario.add_phone("fair-phone", tx_policy=policy)
+        phone = scenario.add_phone("fair-phone", tx_policy=tx_policy(policy))
         activity = scenario.start(phone, PlainNfcActivity)
         clock = scenario.env.clock
         read_conv, write_conv = string_converters()
@@ -157,7 +169,7 @@ CONTROL_TIMING = TransferTiming(base_seconds=0.02, seconds_per_byte=1e-4)
 
 def run_single_tag_control(policy: str) -> dict:
     with Scenario(timing=CONTROL_TIMING) as scenario:
-        phone = scenario.add_phone("control-phone", tx_policy=policy)
+        phone = scenario.add_phone("control-phone", tx_policy=tx_policy(policy))
         activity = scenario.start(phone, PlainNfcActivity)
         tag = text_tag("seed")
         read_conv, write_conv = string_converters()

@@ -7,17 +7,15 @@ polling wakeups while tags are out of range. The reactor multiplexes
 all logical loops onto a bounded pool, so the same population must fit
 in a bounded thread budget and burn (near) zero CPU while idle.
 
-Three measurements:
+Two measurements:
 
 * throughput -- a write+read per reference across 1,000 concurrent
   references, with the runtime thread count sampled mid-flight (must
   stay at or under ``MAX_RUNTIME_THREADS``; the seed needed >= 1,000);
-* idle CPU, reactor -- 1,000 references each parked on an absent tag
-  with a pending write: every logical loop sits on the deadline heap,
-  so a half-second window should cost almost no process CPU;
-* idle CPU, threaded -- the legacy mode with only a tenth of the
-  population, which still out-burns the reactor because each thread
-  polls its wait slice.
+* idle CPU -- 1,000 references each parked on an absent tag with a
+  pending write: every logical loop sits on the deadline heap, so a
+  half-second window must cost under ``IDLE_CPU_CEILING_SECONDS`` of
+  process CPU.
 
 **Crowd churn** (the fair-scheduling substrate at scale): 100 devices x
 1,000 tags sweeping through fields under the two churn generators
@@ -46,7 +44,7 @@ from tests.conftest import PlainNfcActivity, make_reference
 REFERENCES = 1000
 MAX_RUNTIME_THREADS = 64
 IDLE_WINDOW_SECONDS = 0.5
-THREADED_POPULATION = 100  # a tenth of the reactor population
+IDLE_CPU_CEILING_SECONDS = 0.05  # "near zero" over the idle window
 PARK_TIMEOUT = 120.0  # pending-write timeout while tags are absent
 
 # Crowd-churn population: the acceptance floor is 100 devices x 1,000
@@ -110,43 +108,19 @@ def _run_reactor_population() -> dict:
         }
 
 
-def _run_threaded_population() -> dict:
-    with Scenario() as scenario:
-        phone = scenario.add_phone("threaded-scale")
-        activity = scenario.start(phone, PlainNfcActivity)
-        tags = make_tags(THREADED_POPULATION)  # never enter the field
-        references = [
-            make_reference(activity, tag, phone, threaded=True) for tag in tags
-        ]
-        for reference in references:
-            reference.write("parked", timeout=PARK_TIMEOUT)
-        time.sleep(0.2)
-        idle_cpu = _idle_cpu(IDLE_WINDOW_SECONDS)
-        return {
-            "references": THREADED_POPULATION,
-            "threads": threading.active_count(),
-            "idle_cpu_seconds": idle_cpu,
-        }
-
-
 def test_thousand_references_bounded_threads(benchmark):
-    reactor, threaded = benchmark.pedantic(
-        lambda: (_run_reactor_population(), _run_threaded_population()),
-        rounds=1,
-        iterations=1,
-    )
+    reactor = benchmark.pedantic(_run_reactor_population, rounds=1, iterations=1)
 
     table = Table(
         f"Reference scaling -- {REFERENCES} concurrent references on the "
-        "reactor pool vs the legacy thread-per-reference mode",
-        ["measure", "reactor", f"threaded (x{THREADED_POPULATION} refs)"],
+        "reactor pool",
+        ["measure", "reactor"],
     )
-    table.add_row("peak runtime threads", reactor["threads_peak"], threaded["threads"])
-    table.add_row("ops/second", round(reactor["ops_per_second"]), "-")
+    table.add_row("peak runtime threads", reactor["threads_peak"])
+    table.add_row("ops/second", round(reactor["ops_per_second"]))
     table.add_row(
         f"idle CPU over {IDLE_WINDOW_SECONDS}s (s)",
         round(reactor["idle_cpu_seconds"], 4),
-        round(threaded["idle_cpu_seconds"], 4),
     )
     table.print()
 
@@ -159,9 +133,6 @@ def test_thousand_references_bounded_threads(benchmark):
         "reactor_workers": reactor["reactor_workers"],
         "reactor_max_workers": reactor["reactor_max_workers"],
         "idle_cpu_seconds_reactor": reactor["idle_cpu_seconds"],
-        "idle_cpu_seconds_threaded": threaded["idle_cpu_seconds"],
-        "threaded_population": threaded["references"],
-        "threaded_threads": threaded["threads"],
         "idle_window_seconds": IDLE_WINDOW_SECONDS,
     }
     emit_bench_json("scaling", _PAYLOAD)
@@ -170,9 +141,8 @@ def test_thousand_references_bounded_threads(benchmark):
     # seed's thread-per-reference design needed >= 1,000 threads here.
     assert reactor["threads_peak"] <= MAX_RUNTIME_THREADS
     assert reactor["ops_completed"] == 2 * REFERENCES
-    # Parked references cost (nearly) nothing: even with 10x the
-    # population, the reactor's idle CPU stays under the threaded mode's.
-    assert reactor["idle_cpu_seconds"] < threaded["idle_cpu_seconds"]
+    # Parked references cost (nearly) nothing while they wait.
+    assert reactor["idle_cpu_seconds"] < IDLE_CPU_CEILING_SECONDS
 
 
 # -- crowd churn -------------------------------------------------------------------

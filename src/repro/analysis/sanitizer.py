@@ -4,17 +4,17 @@ The paper's contract is a thread-affinity contract: listeners "are
 always asynchronously scheduled for execution in the activity's main
 thread", so bound :class:`~repro.things.thing.Thing` state is owned by
 the device's main looper and nothing running on middleware threads
-(reactor workers, looper pumps, reference/beamer event loops) may poke
+(reactor workers, looper pumps, beamer event loops) may poke
 it directly. ``morelint`` checks that statically; this module checks it
 at run time, for the cases no source analysis can see (callbacks built
 dynamically, third-party helpers, the middleware itself regressing).
 
 When installed, the sanitizer patches:
 
-* ``Looper._loop``, ``Reactor._worker_loop`` / ``_timer_loop``,
-  ``TagReference._event_loop`` and ``Beamer._event_loop`` so every
-  middleware thread registers itself on entry (threads started *before*
-  installation are recognized by their names as a fallback);
+* ``Looper._loop``, ``Reactor._worker_loop`` / ``_timer_loop`` and
+  ``Beamer._event_loop`` so every middleware thread registers itself on
+  entry (threads started *before* installation are recognized by their
+  names as a fallback);
 * ``Thing.__setattr__`` so public-field writes to a *bound* Thing from
   a middleware thread that is not the owning looper's pump thread are
   recorded as :class:`AffinityViolation`; unbound Things stay freely
@@ -78,7 +78,7 @@ __all__ = [
 _WRAPPER_MARK = "__morena_sanitizer_wrapper__"
 
 # Thread-name fallbacks for middleware threads started before install().
-_MIDDLEWARE_NAME_MARKS: Tuple[str, ...] = ("looper-", "tagref-", "beamer-")
+_MIDDLEWARE_NAME_MARKS: Tuple[str, ...] = ("looper-", "beamer-")
 
 
 def _in_running_event_loop() -> bool:
@@ -403,7 +403,6 @@ class ThreadAffinitySanitizer:
         self._patch_registering(Reactor, "_worker_loop", "reactor-worker")
         self._patch_registering(Reactor, "_timer_loop", "reactor-timer")
         self._patch_registering(AsyncioReactor, "_loop_runner", "asyncio-loop")
-        self._patch_registering(TagReference, "_event_loop", "reference")
         self._patch_registering(Beamer, "_event_loop", "beamer")
         self._patch_thing_setattr(Thing)
         self._patch_post_listener(TagReference)

@@ -100,8 +100,8 @@ class AndroidDevice:
     def tx_scheduler(self) -> PortTransactionScheduler:
         """The device's per-port radio transaction scheduler (lazy).
 
-        Batch-managed tag references register here; on each tap window
-        the scheduler serves their ready head operations through one
+        Every tag reference registers here; on each tap window the
+        scheduler serves their ready head operations through one
         connected session per tag visit instead of paying the full
         connect/anticollision cost per operation, sharing radio time
         across co-present tags under the device's ``tx_policy``. See

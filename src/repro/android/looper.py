@@ -2,7 +2,7 @@
 
 Each simulated device runs one main looper on its own daemon thread; every
 UI callback and every MORENA listener is posted here, which is what keeps
-listener execution off the tag references' private threads (paper section
+listener execution off the tag references' event loops (paper section
 3.2: "listeners ... are always asynchronously scheduled for execution in
 the activity's main thread").
 

@@ -47,7 +47,6 @@ class TagDiscoverer:
         write_converter: ObjectToNdefMessageConverter,
         accept_empty: bool = False,
         default_timeout: Optional[float] = None,
-        threaded: Optional[bool] = None,
     ) -> None:
         if not isinstance(activity, NFCActivity):
             raise TypeError("TagDiscoverer requires an NFCActivity")
@@ -57,10 +56,6 @@ class TagDiscoverer:
         self.write_converter = write_converter
         self.accept_empty = accept_empty
         self._default_timeout = default_timeout
-        # Scheduling mode for references this discoverer creates: None
-        # means the default (the device's shared reactor); True selects
-        # the legacy thread-per-reference mode.
-        self._threaded = threaded
         # Non-overridable observers ("detected"|"redetected"|"empty",
         # reference) invoked after the subclass callbacks — the feed for
         # async discovery streams and telemetry taps.
@@ -156,7 +151,6 @@ class TagDiscoverer:
             self.read_converter,
             self.write_converter,
             default_timeout=self._default_timeout,
-            threaded=self._threaded,
         )
         # Refresh the cache from the tag content the platform already read
         # during dispatch; a tag whose data our converter rejects is
@@ -186,7 +180,6 @@ class TagDiscoverer:
             self.read_converter,
             self.write_converter,
             default_timeout=self._default_timeout,
-            threaded=self._threaded,
         )
         reference.notify_redetected()
         self.on_empty_tag_detected(reference)

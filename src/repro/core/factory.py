@@ -42,22 +42,17 @@ class TagReferenceFactory:
         read_converter: NdefMessageToObjectConverter,
         write_converter: ObjectToNdefMessageConverter,
         default_timeout: Optional[float] = None,
-        threaded: Optional[bool] = None,
         coalesce_writes: Optional[bool] = None,
-        batched: Optional[bool] = None,
     ) -> "tuple[TagReference, bool]":
         """Return ``(reference, is_new)`` for the tag's UID.
 
         The converters only matter on first creation; later lookups return
         the existing reference unchanged, preserving its queue and cache.
-        New references run on the device's shared reactor (one bounded
-        worker pool per device) unless ``threaded=True`` selects the
-        paper-literal thread-per-reference mode. ``coalesce_writes=True``
-        makes the reference's writes coalescible by default (see
-        :meth:`TagReference.write`). ``batched=False`` opts the
-        reference out of the device's per-port transaction scheduler
-        (see :mod:`repro.radio.txscheduler`); reactor references batch
-        by default.
+        New references run on the device's reactor and batch their radio
+        work through its per-port transaction scheduler (see
+        :mod:`repro.radio.txscheduler`). ``coalesce_writes=True`` makes
+        the reference's writes coalescible by default (see
+        :meth:`TagReference.write`).
         """
         with self._lock:
             existing = self._references.get(tag.id)
@@ -66,12 +61,8 @@ class TagReferenceFactory:
             kwargs = {}
             if default_timeout is not None:
                 kwargs["default_timeout"] = default_timeout
-            if threaded is not None:
-                kwargs["threaded"] = threaded
             if coalesce_writes is not None:
                 kwargs["coalesce_writes"] = coalesce_writes
-            if batched is not None:
-                kwargs["batched"] = batched
             reference = TagReference(
                 tag,
                 self._activity,

@@ -12,11 +12,11 @@ Paper section 3.2. A tag reference
   process the first operation in the queue: a failed attempt leaves the
   operation queued (decoupling in time -- no error surfaces), success
   removes it and fires the success listener, and passing its timeout
-  removes it and fires the failure listener. By default the event loop
-  is a :class:`~repro.core.scheduler.ReactorTask` multiplexed onto the
-  device's shared bounded worker pool (see :mod:`repro.core.scheduler`);
-  pass ``threaded=True`` for the paper-literal one-OS-thread-per-
-  reference mode;
+  removes it and fires the failure listener. The event loop is a
+  :class:`~repro.core.scheduler.ReactorTask` on the device's reactor
+  (see :mod:`repro.core.scheduler`), and its radio attempts run through
+  the device's per-port transaction scheduler (see
+  :mod:`repro.radio.txscheduler`);
 * guarantees that an operation is **never processed before previously
   scheduled operations** were processed (or timed out);
 * schedules all listeners on the **activity's main thread**, so the
@@ -89,7 +89,7 @@ from repro.core.converters import (
 )
 from repro.core.listeners import ListenerLike, as_callback
 from repro.core.operations import Operation, OperationKind, OperationOutcome
-from repro.core.scheduler import Reactor, ReactorTask
+from repro.core.scheduler import ReactorTask
 from repro.errors import (
     ConverterError,
     LooperError,
@@ -116,16 +116,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 DEFAULT_TIMEOUT_SECONDS = 5.0
 DEFAULT_RETRY_INTERVAL_SECONDS = 0.02
-
-# Real-time slice the legacy threaded event loop waits between deadline
-# checks; small so that ManualClock simulations observe advances promptly.
-_WAIT_SLICE_SECONDS = 0.01
-
-# How many queued operations one reactor quantum may process back-to-back
-# before yielding its worker. Within a burst, latency between consecutive
-# operations (e.g. a pipelined format -> write) matches the dedicated-
-# thread mode; the cap keeps one busy reference from hogging a worker.
-_STEP_BURST_OPS = 64
 
 _TRANSIENT_ERRORS = (TagLostError, NotInFieldError, TagFormatError)
 _PERMANENT_ERRORS = (
@@ -162,42 +152,6 @@ class BatchView(NamedTuple):
 _EMPTY_BATCH_VIEW = BatchView(None, None, None, None, 0)
 
 
-class _NoWaitCondition:
-    """Lock-only stand-in for ``threading.Condition`` on reactor-mode
-    references.
-
-    Only the legacy threaded event loop ever ``wait()``s on a
-    reference's condition; reactor-mode logical loops park on the
-    reactor's timer heap instead. A full Condition carries an extra
-    RLock plus an (empty, but allocated) waiter deque per reference —
-    dead weight at 100k idle references — so reactor mode keeps just
-    the mutex and turns the notify side into a no-op.
-    """
-
-    __slots__ = ("_lock",)
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-
-    def __enter__(self) -> bool:
-        return self._lock.__enter__()
-
-    def __exit__(self, *exc_info: Any) -> Any:
-        return self._lock.__exit__(*exc_info)
-
-    def notify(self, n: int = 1) -> None:
-        pass  # nothing ever waits
-
-    def notify_all(self) -> None:
-        pass  # nothing ever waits
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        raise RuntimeError(
-            "reactor-mode references have no waiters; "
-            "wait() belongs to the threaded event loop"
-        )
-
-
 class TagReference:
     """First-class remote reference to one RFID tag.
 
@@ -221,7 +175,7 @@ class TagReference:
         "_default_timeout",
         "_retry_interval",
         "_coalesce_writes",
-        "_cond",
+        "_lock",
         "_queue",
         "_stopped",
         "_cached_object",
@@ -237,7 +191,6 @@ class TagReference:
         "coalesced_writes",
         "deduped_reads",
         "protocol_merges",
-        "_thread",
         "_task",
         "_batch",
         "_batch_backoff_until",
@@ -251,10 +204,7 @@ class TagReference:
         write_converter: ObjectToNdefMessageConverter,
         default_timeout: float = DEFAULT_TIMEOUT_SECONDS,
         retry_interval: float = DEFAULT_RETRY_INTERVAL_SECONDS,
-        threaded: bool = False,
-        reactor: Optional[Reactor] = None,
         coalesce_writes: bool = False,
-        batched: Optional[bool] = None,
     ) -> None:
         self._tag = tag
         self._activity = activity
@@ -267,10 +217,9 @@ class TagReference:
         self._retry_interval = retry_interval
         self._coalesce_writes = coalesce_writes
 
-        # Threaded loops block on the condition; reactor-mode loops only
-        # ever lock it (they park on the reactor's timer heap instead),
-        # so they get the slim lock-only variant.
-        self._cond = threading.Condition() if threaded else _NoWaitCondition()
+        # A plain lock, not a condition: nothing waits on a reference --
+        # its logical loop parks on the reactor's timer heap.
+        self._lock = threading.Lock()
         # A plain list: queues are short (pending ops per reference), the
         # rare pop(0) shift is noise next to a radio round-trip, and a
         # list's empty footprint is a tenth of a deque's — which matters
@@ -280,13 +229,6 @@ class TagReference:
         self._cached_object: Any = None
         self._cached_message: Optional[NdefMessage] = None
         self._has_cache = False
-        # Usually created upon discovery (i.e. in the field), but a
-        # reference can also be created for an already-departed tag --
-        # query the field so the first connectivity transition a
-        # listener sees is never against a stale initial state.
-        self._connected = self._port.environment.tag_in_field(
-            tag.simulated, self._port
-        )
         self._connectivity_listeners: List[ConnectivityListener] = []
         # Lazily created (None until the first add): at 100k idle
         # references an empty list per instance is real memory.
@@ -301,36 +243,25 @@ class TagReference:
         self.deduped_reads = 0  # reads settled by another read's attempt
         self.protocol_merges = 0  # raw writes absorbed via merge_key
 
-        self._port.add_tag_listener(tag.simulated, self._on_field_event)
-        self._thread: Optional[threading.Thread] = None
-        self._task: Optional[ReactorTask] = None
-        # Batched radio execution (reactor mode only): the device's
-        # per-port transaction scheduler drains this reference's ready
-        # head operations through shared tag sessions, one connect per
-        # tap window. ``batched=False`` opts a reference out (its radio
-        # work runs on its own task, standalone-cost per operation);
-        # ``threaded=True`` always runs unbatched, paper-literally.
-        self._batch: Optional["PortTransactionScheduler"] = None
+        self._task: ReactorTask = activity.device.reactor.register(
+            self._step, name=f"tagref-{tag.id_hex}"
+        )
+        # The device's per-port transaction scheduler drains this
+        # reference's ready head operations through shared tag
+        # sessions, one connect per tap window.
+        self._batch: "PortTransactionScheduler" = activity.device.tx_scheduler
         self._batch_backoff_until = 0.0
-        if threaded:
-            # Paper-literal mode: one OS thread per reference. Kept for
-            # the event-loop ablation bench and as an escape hatch.
-            self._thread = threading.Thread(
-                target=self._event_loop,
-                name=f"tagref-{tag.id_hex}",
-                daemon=True,
-            )
-            self._thread.start()
-        else:
-            shared = reactor if reactor is not None else activity.device.reactor
-            self._task = shared.register(self._step, name=f"tagref-{tag.id_hex}")
-            # Default on -- except under an explicitly supplied reactor,
-            # where pulling in the device scheduler (which runs on the
-            # *device's* reactor) would be a surprise.
-            use_batched = batched if batched is not None else reactor is None
-            if use_batched:
-                self._batch = activity.device.tx_scheduler
-                self._batch.register(self)
+        self._batch.register(self)
+        # Usually created upon discovery (i.e. in the field), but a
+        # reference can also be created for an already-departed tag --
+        # query the field so the first connectivity transition a
+        # listener sees is never against a stale initial state.
+        self._connected = self._port.environment.tag_in_field(
+            tag.simulated, self._port
+        )
+        # Last: a field event may be dispatched the moment the listener
+        # is registered, and its handler needs every slot above.
+        self._port.add_tag_listener(tag.simulated, self._on_field_event)
 
     # -- identity & cached state --------------------------------------------------
 
@@ -406,11 +337,11 @@ class TagReference:
     def add_connectivity_listener(self, listener: ConnectivityListener) -> None:
         """Observe connectivity changes; called as ``listener(ref, connected)``
         on the activity's main thread."""
-        with self._cond:
+        with self._lock:
             self._connectivity_listeners.append(listener)
 
     def remove_connectivity_listener(self, listener: ConnectivityListener) -> None:
-        with self._cond:
+        with self._lock:
             if listener in self._connectivity_listeners:
                 self._connectivity_listeners.remove(listener)
 
@@ -425,13 +356,13 @@ class TagReference:
         :class:`~repro.gateway.reporter.GatewayReporter` honours with
         its O(1) buffered ``record``.
         """
-        with self._cond:
+        with self._lock:
             if self._telemetry_listeners is None:
                 self._telemetry_listeners = []
             self._telemetry_listeners.append(listener)
 
     def remove_telemetry_listener(self, listener: Callable[..., None]) -> None:
-        with self._cond:
+        with self._lock:
             if (
                 self._telemetry_listeners is not None
                 and listener in self._telemetry_listeners
@@ -440,25 +371,17 @@ class TagReference:
 
     def notify_redetected(self) -> None:
         """Wake the event loop; called by the discoverer on re-detection."""
-        self._wake()
-
-    def _wake(self) -> None:
-        """Wake the event loop in whichever mode it runs."""
-        if self._task is not None:
-            self._task.wake()
-        else:
-            with self._cond:
-                self._cond.notify_all()
+        self._task.wake()
 
     def _on_field_event(self, event: FieldEvent) -> None:
         if isinstance(event, TagEntered) and event.tag is self._tag.simulated:
             self._set_connected(True)
-            self._wake()
+            self._task.wake()
         elif isinstance(event, TagLeft) and event.tag is self._tag.simulated:
             self._set_connected(False)
 
     def _set_connected(self, connected: bool) -> None:
-        with self._cond:
+        with self._lock:
             if self._connected == connected:
                 return
             self._connected = connected
@@ -641,7 +564,7 @@ class TagReference:
         operation stays ``CANCELLED`` and silent regardless, which is the
         honest race of a distributed cancel.
         """
-        with self._cond:
+        with self._lock:
             for index, queued in enumerate(self._queue):
                 if queued is operation:
                     del self._queue[index]
@@ -656,12 +579,10 @@ class TagReference:
                         revived.superseded = shadows
                         self._queue.insert(index, revived)
                     operation.outcome = OperationOutcome.CANCELLED
-                    self._cond.notify_all()
                     return True
                 if operation in queued.superseded:
                     queued.superseded.remove(operation)
                     operation.outcome = OperationOutcome.CANCELLED
-                    self._cond.notify_all()
                     return True
             return False
 
@@ -674,11 +595,10 @@ class TagReference:
         reference down *and* flush failure listeners for whatever is
         still pending, use ``stop(notify_pending=True)`` instead.
         """
-        with self._cond:
+        with self._lock:
             cancelled = self._drain_queue_locked()
             for operation in cancelled:
                 operation.outcome = OperationOutcome.CANCELLED
-            self._cond.notify_all()
         return len(cancelled)
 
     def _drain_queue_locked(self) -> List[Operation]:
@@ -697,7 +617,7 @@ class TagReference:
     @property
     def pending_count(self) -> int:
         """Logical pending operations, superseded writes included."""
-        with self._cond:
+        with self._lock:
             return len(self._queue) + sum(
                 len(operation.superseded) for operation in self._queue
             )
@@ -705,7 +625,7 @@ class TagReference:
     def pending_operations(self) -> List[Operation]:
         """The pending operations in FIFO order (superseded writes
         precede the surviving write that will settle them)."""
-        with self._cond:
+        with self._lock:
             out: List[Operation] = []
             for operation in self._queue:
                 out.extend(operation.superseded)
@@ -716,10 +636,10 @@ class TagReference:
 
     @property
     def is_stopped(self) -> bool:
-        with self._cond:
+        with self._lock:
             return self._stopped
 
-    def stop(self, notify_pending: bool = False, join_timeout: float = 5.0) -> None:
+    def stop(self, notify_pending: bool = False) -> None:
         """Stop the private event loop.
 
         Pending operations become ``CANCELLED``. By default that is
@@ -729,26 +649,21 @@ class TagReference:
         operation whose radio attempt is in flight at the moment of the
         stop is cancelled too and never settles otherwise.
         """
-        with self._cond:
+        with self._lock:
             if self._stopped:
                 return
             self._stopped = True
             cancelled = self._drain_queue_locked()
-            self._cond.notify_all()
         for operation in cancelled:
             operation.outcome = OperationOutcome.CANCELLED
             if notify_pending:
                 self._post_listener(operation.on_failure, self)
         self._port.remove_tag_listener(self._tag.simulated, self._on_field_event)
-        if self._batch is not None:
-            self._batch.unregister(self)
-        if self._task is not None:
-            # Deregister rather than wake: a wake would spin up reactor
-            # threads just to observe the stop flag, and any timer entry
-            # for this task is ignored once cancelled.
-            self._task.cancel()
-        if self._thread is not None and threading.current_thread() is not self._thread:
-            self._thread.join(join_timeout)
+        self._batch.unregister(self)
+        # Deregister rather than wake: a wake would spin up reactor
+        # threads just to observe the stop flag, and any timer entry
+        # for this task is ignored once cancelled.
+        self._task.cancel()
 
     # -- internals -------------------------------------------------------------------------------
 
@@ -772,7 +687,7 @@ class TagReference:
         )
 
     def _enqueue(self, operation: Operation) -> None:
-        with self._cond:
+        with self._lock:
             if self._stopped:
                 raise ReferenceStoppedError(
                     f"tag reference {self.uid_hex} has been stopped"
@@ -810,15 +725,13 @@ class TagReference:
                     operation.merged = True
                     self.protocol_merges += 1
             self._queue.append(operation)
-            self._cond.notify_all()
-        if self._task is not None:
-            if operation.merged:
-                # The queue did not grow and the tail was already being
-                # awaited; only the deadline may have moved. Adopt it on
-                # the reactor's timer heap instead of spinning a worker.
-                self._task.schedule_at(operation.deadline)
-            else:
-                self._task.wake()
+        if operation.merged:
+            # The queue did not grow and the tail was already being
+            # awaited; only the deadline may have moved. Adopt it on
+            # the reactor's timer heap instead of spinning a worker.
+            self._task.schedule_at(operation.deadline)
+        else:
+            self._task.wake()
 
     def _absorb_tail_locked(self, operation: Operation) -> None:
         """Replace the queue tail with ``operation``, which inherits the
@@ -830,67 +743,17 @@ class TagReference:
         operation.superseded = shadows
 
     def _step(self) -> Optional[float]:
-        """One scheduling quantum of the logical event loop (reactor mode).
+        """One scheduling quantum of the logical event loop.
 
-        Runs on a reactor worker, serialized per reference. Returns
-        ``None`` to go idle until an external wakeup (enqueue, field
-        event, redetection), or the absolute clock time at which the
-        reactor should run the next quantum (a time already reached
-        means "immediately" -- more queued work). Crucially this never
-        sleeps on the worker: retry backoff and timeout expiry are
-        delegated to the reactor's deadline heap, so an absent tag's
-        retries occupy no thread and cannot starve other references.
-
-        In batched mode the radio work itself belongs to the per-port
-        transaction scheduler; this task keeps only the time-driven
-        duties (timeout expiry) and forwards readiness.
+        Runs on the reactor, serialized per reference. Radio attempts
+        happen on the transaction scheduler's drain; this task only
+        expires deadlines and reports readiness, then parks on the
+        earliest pending deadline so timeouts fire even while the
+        scheduler has nothing to drain (absent tag, backoff). It never
+        sleeps: an absent tag's wait occupies no thread and cannot
+        starve other references.
         """
-        if self._batch is not None:
-            return self._batch_step()
-        for _ in range(_STEP_BURST_OPS):
-            head: Optional[Operation] = None
-            with self._cond:
-                if self._stopped:
-                    return None
-                self._expire_locked()
-                if not self._queue:
-                    return None
-                if not self._tag_present():
-                    # Decoupled in time: keep the queue, wait for the field.
-                    # A TagEntered event wakes us; the earliest deadline
-                    # bounds the wait so timeouts still fire while away.
-                    return self._earliest_deadline_locked()
-                head = self._queue[0]
-                head.in_flight = True
-            outcome, error = self._attempt(head)
-            with self._cond:
-                head.in_flight = False
-                if self._stopped:
-                    return None
-                if outcome is OperationOutcome.PENDING:
-                    # Transient failure: the operation stays at the head
-                    # of the queue; back off until the retry interval or
-                    # the earliest deadline, whichever comes first.
-                    if not self._queue:
-                        return None  # cancelled mid-attempt
-                    retry_at = self._clock.now() + self._retry_interval
-                    return min(retry_at, self._earliest_deadline_locked())
-                before, after = self._harvest_settlements_locked(head, outcome)
-            self._settle_batch(head, before, after, outcome, error)
-        with self._cond:
-            if self._queue and not self._stopped:
-                return self._clock.now()  # burst cap hit: yield, then resume
-        return None
-
-    def _batch_step(self) -> Optional[float]:
-        """The reference task's quantum in batched mode.
-
-        Radio attempts happen on the transaction scheduler's drain; this
-        task only expires deadlines and reports readiness, then parks on
-        the earliest pending deadline so timeouts fire even while the
-        scheduler has nothing to drain (absent tag, backoff).
-        """
-        with self._cond:
+        with self._lock:
             if self._stopped:
                 return None
             self._expire_locked()
@@ -912,7 +775,7 @@ class TagReference:
         :meth:`Operation.is_batch_fence` for the fence rules the
         scheduler enforces with them.
         """
-        with self._cond:
+        with self._lock:
             if self._stopped or not self._queue:
                 return _EMPTY_BATCH_VIEW
             self._expire_locked()
@@ -960,7 +823,7 @@ class TagReference:
         ``"skip"`` (the queue changed underneath: cancel, stop or
         timeout won the race and there is nothing to do).
         """
-        with self._cond:
+        with self._lock:
             if (
                 self._stopped
                 or not self._queue
@@ -969,8 +832,8 @@ class TagReference:
             ):
                 return "skip"
             operation.in_flight = True
-        outcome, error = self._attempt(operation, radio=session)
-        with self._cond:
+        outcome, error = self._attempt(operation, session)
+        with self._lock:
             operation.in_flight = False
             if self._stopped:
                 return "skip"
@@ -1039,36 +902,6 @@ class TagReference:
         for operation in after:
             self._settle(operation, outcome, error)
 
-    def _event_loop(self) -> None:
-        """The legacy ``threaded=True`` loop: one OS thread, private waits."""
-        while True:
-            head: Optional[Operation] = None
-            with self._cond:
-                if self._stopped:
-                    return
-                self._expire_locked()
-                if not self._queue:
-                    self._cond.wait()
-                    continue
-                if not self._tag_present():
-                    # Decoupled in time: keep the queue, wait for the field.
-                    self._cond.wait(_WAIT_SLICE_SECONDS)
-                    continue
-                head = self._queue[0]
-                head.in_flight = True
-            outcome, error = self._attempt(head)
-            with self._cond:
-                head.in_flight = False
-                if self._stopped:
-                    return
-                if outcome is OperationOutcome.PENDING:
-                    # Transient failure: the operation stays at the head of
-                    # the queue; pause briefly before the next attempt.
-                    self._cond.wait(self._retry_interval)
-                    continue
-                before, after = self._harvest_settlements_locked(head, outcome)
-            self._settle_batch(head, before, after, outcome, error)
-
     def _tag_present(self) -> bool:
         return self._port.environment.tag_in_field(self._tag.simulated, self._port)
 
@@ -1115,19 +948,17 @@ class TagReference:
             else:
                 index += 1
 
-    def _attempt(self, operation: Operation, radio: Optional[Any] = None):
-        """Try the head operation once. Returns (outcome, error).
+    def _attempt(self, operation: Operation, session: "TagSession"):
+        """Try the head operation once through an open tag session.
+        Returns (outcome, error).
 
         ``PENDING`` as outcome means: transient failure, keep it queued.
-        ``radio`` substitutes an open :class:`TagSession` for the port
-        (batched mode); both expose the same blocking tag operations.
         """
-        port = self._port if radio is None else radio
         operation.attempts += 1
         self.attempts += 1
         try:
             if operation.kind is OperationKind.READ:
-                message = port.read_ndef(self._tag.simulated)
+                message = session.read_ndef(self._tag.simulated)
                 if operation.raw:
                     self._update_message_cache(message)
                 else:
@@ -1139,15 +970,15 @@ class TagReference:
                     if operation.payload_factory is None
                     else operation.payload_factory()
                 )
-                port.write_ndef(self._tag.simulated, payload)
+                session.write_ndef(self._tag.simulated, payload)
                 if operation.raw:
                     self._update_message_cache(payload)
                 else:
                     self._update_cache(operation.original_object, payload)
             elif operation.kind is OperationKind.FORMAT:
-                port.format_tag(self._tag.simulated)
+                session.format_tag(self._tag.simulated)
             else:
-                port.make_read_only(self._tag.simulated)
+                session.make_read_only(self._tag.simulated)
             return OperationOutcome.SUCCEEDED, None
         except _PERMANENT_ERRORS as exc:
             return OperationOutcome.FAILED, exc
@@ -1159,13 +990,13 @@ class TagReference:
             return OperationOutcome.PENDING, exc
 
     def _update_cache(self, converted: Any, message: NdefMessage) -> None:
-        with self._cond:
+        with self._lock:
             self._cached_object = converted
             self._cached_message = message
             self._has_cache = True
 
     def _update_message_cache(self, message: NdefMessage) -> None:
-        with self._cond:
+        with self._lock:
             self._cached_message = message
             self._has_cache = True
 
@@ -1185,9 +1016,9 @@ class TagReference:
             self._post_listener(operation.on_failure, self)
         # Telemetry tap: inline, after the application listener is
         # posted; listeners are contract-bound to be non-blocking.
-        # Read without _cond: _settle runs inside _expire_locked with
-        # the (non-reentrant in reactor mode) condition already held,
-        # and a GIL-atomic list copy is all the snapshot needs.
+        # Read without _lock: _settle runs inside _expire_locked with
+        # the non-reentrant lock already held, and a GIL-atomic list
+        # copy is all the snapshot needs.
         taps = self._telemetry_listeners
         if taps:
             for tap in list(taps):

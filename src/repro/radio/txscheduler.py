@@ -14,8 +14,8 @@ port (the distribution-policy/application-logic split RAFDA argues for:
 application code and the reference API never see it):
 
 * every device owns one :class:`PortTransactionScheduler` (lazily, see
-  ``AndroidDevice.tx_scheduler``); batch-managed references register
-  themselves keyed by their simulated tag;
+  ``AndroidDevice.tx_scheduler``); every tag reference registers itself
+  keyed by its simulated tag, and all of its radio work runs here;
 * references and field events mark tags runnable on a
   :class:`~repro.core.scheduler.PortReadyQueue`; the scheduler runs as a
   **single serial reactor task per port**, so the reactor hands a whole
@@ -31,11 +31,11 @@ application code and the reference API never see it):
 :class:`CrossTagPolicy`). With several tags co-present in one field, the
 original whole-tag drain served them strictly one tag at a time, so one
 hot tag (a deep backlog) head-of-line blocked its neighbours for the
-whole drain. The fair policies instead hand each ready tag a **bounded
-quantum** per service round and rotate:
+whole drain. The policies instead hand each ready tag a **bounded
+quantum** per service round and rotate (the whole-tag drain survives
+only as a test and bench baseline, ``SequentialDrainPolicy`` in
+``tests/conftest.py``):
 
-* ``"drain"`` — the legacy sequential whole-tag drain (each visit runs
-  to queue exhaustion); kept for A/B benches and ablation;
 * ``"round_robin"`` — fixed equal quanta, rotated start;
 * ``"deficit"`` (the default) — deficit round-robin: each visit credits
   the tag's deficit counter by a base quantum weighted (sublinearly,
@@ -85,7 +85,6 @@ drain loop relies on, and both backends guarantee it.
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Dict, List, Optional, TYPE_CHECKING, Tuple, Union
 
@@ -102,8 +101,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.radio.port import NfcAdapterPort
 
 # One drain visit processes at most this many operations before
-# yielding its reactor worker, whatever the policy granted (mirrors the
-# reference's own step burst).
+# yielding its reactor worker, whatever the policy granted.
 _DRAIN_BURST_OPS = 128
 
 # Backoff after a connect/anticollision tear (the tag is flapping at the
@@ -153,7 +151,7 @@ class CrossTagPolicy:
 
     name = "?"
     #: Whether ready-queue snapshots rotate their starting tag between
-    #: service rounds (fair policies) or keep strict ready order (drain).
+    #: service rounds (fair policies) or keep strict ready order.
     rotates = True
 
     def begin_visit(self, tag: SimulatedTag, depth: int) -> float:
@@ -164,22 +162,6 @@ class CrossTagPolicy:
 
     def reset(self, tag: SimulatedTag) -> None:
         """``tag`` went idle (queues empty) or left the scheduler."""
-
-
-class SequentialDrainPolicy(CrossTagPolicy):
-    """The legacy whole-tag drain: each visit runs to queue exhaustion.
-
-    Maximum batching (one connect per tag per window) but a deep
-    backlog on one tag head-of-line blocks every co-present neighbour
-    for the entire drain. Kept selectable for ablation and for fields
-    where co-presence never happens.
-    """
-
-    name = "drain"
-    rotates = False
-
-    def begin_visit(self, tag: SimulatedTag, depth: int) -> float:
-        return math.inf
 
 
 class RoundRobinPolicy(CrossTagPolicy):
@@ -246,7 +228,6 @@ class DeficitPolicy(CrossTagPolicy):
 
 
 POLICIES = {
-    SequentialDrainPolicy.name: SequentialDrainPolicy,
     RoundRobinPolicy.name: RoundRobinPolicy,
     DeficitPolicy.name: DeficitPolicy,
 }
@@ -312,12 +293,12 @@ class TagServiceStats:
 class PortTransactionScheduler:
     """Batches the radio round-trips of co-located references per port.
 
-    Created once per device (``AndroidDevice.tx_scheduler``). References
-    running in batched mode register here; the scheduler owns all their
-    radio execution while their tag is in the field. Deadlines, retries
-    while absent, cancellation and listener settlement stay with each
-    reference — this layer only decides *when the radio speaks and for
-    whom*, under the cross-tag service policy (see module docstring).
+    Created once per device (``AndroidDevice.tx_scheduler``). Every tag
+    reference registers here; the scheduler owns all its radio execution
+    while its tag is in the field. Deadlines, retries while absent,
+    cancellation and listener settlement stay with each reference —
+    this layer only decides *when the radio speaks and for whom*, under
+    the cross-tag service policy (see module docstring).
     """
 
     def __init__(
@@ -383,7 +364,7 @@ class PortTransactionScheduler:
     # -- registration -----------------------------------------------------------
 
     def register(self, reference: "TagReference") -> None:
-        """Enroll a batch-managed reference (keyed by its simulated tag)."""
+        """Enroll a reference (keyed by its simulated tag)."""
         tag = reference.tag.simulated
         with self._lock:
             if self._closed:

@@ -8,6 +8,8 @@ deterministic and fast.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.android.device import AndroidDevice
@@ -20,6 +22,7 @@ from repro.harness.scenario import Scenario
 from repro.ndef.message import NdefMessage
 from repro.ndef.mime import mime_record
 from repro.radio.environment import RfidEnvironment
+from repro.radio.txscheduler import CrossTagPolicy
 from repro.tags.factory import make_tag
 
 TEXT_TYPE = "application/x-test-text"
@@ -99,3 +102,20 @@ def make_reference(activity, tag, phone=None, mime_type: str = TEXT_TYPE, **kwar
         Tag(tag, port), read_conv, write_conv, **kwargs
     )
     return reference
+
+
+class SequentialDrainPolicy(CrossTagPolicy):
+    """The whole-tag drain baseline: each visit runs to queue exhaustion.
+
+    Maximum batching (one connect per tag per window), but a deep
+    backlog on one tag head-of-line blocks every co-present neighbour
+    for the entire drain. Not a production policy: the fairness tests
+    and benches pass an instance as ``tx_policy`` to show what the fair
+    policies beat.
+    """
+
+    name = "drain"
+    rotates = False
+
+    def begin_visit(self, tag, depth: int) -> float:
+        return math.inf

@@ -294,6 +294,27 @@ class TestConnectivity:
         assert phone.sync()
         assert len(log) == 0
 
+    def test_field_event_racing_construction_reaches_the_reference(
+        self, scenario, phone, activity, monkeypatch
+    ):
+        """A tag entering the field the moment the reference registers
+        its tag listener must not crash the dispatching thread: every
+        slot the handler reads is set before the listener goes live."""
+        tag = text_tag("racing")
+        register = phone.port.add_tag_listener
+
+        def register_then_enter(simulated, listener):
+            register(simulated, listener)
+            scenario.put(simulated, phone)
+
+        monkeypatch.setattr(phone.port, "add_tag_listener", register_then_enter)
+        reference = make_reference(activity, tag, phone)
+        assert reference.is_connected
+        done = EventLog()
+        reference.write("landed", on_written=lambda r: done.append(1))
+        assert done.wait_for_count(1)
+        assert tag.read_ndef()[0].payload == b"landed"
+
 
 class TestStop:
     def test_stop_cancels_pending(self, scenario, phone, ref, tag):

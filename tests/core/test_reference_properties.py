@@ -1,5 +1,10 @@
-"""Property-based tests of the tag-reference queue semantics."""
+"""Property-based tests of the tag-reference queue semantics.
 
+The paper guarantees (per-reference FIFO, newest write lands, reads
+observe earlier writes) run on both reactor backends.
+"""
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,17 +20,20 @@ write_scripts = st.lists(
     st.tuples(st.booleans()), min_size=1, max_size=8
 )
 
+REACTOR_MODES = ("threaded", "asyncio")
 
+
+@pytest.mark.parametrize("reactor_mode", REACTOR_MODES)
 @given(
     payload_count=st.integers(min_value=1, max_value=8),
     tear_pattern=st.lists(st.booleans(), min_size=0, max_size=12),
 )
 @settings(max_examples=40, deadline=None)
-def test_queue_order_and_last_write_wins(payload_count, tear_pattern):
+def test_queue_order_and_last_write_wins(reactor_mode, payload_count, tear_pattern):
     """Whatever tear pattern the link throws, successes arrive in schedule
     order and the tag ends holding the last scheduled write."""
     env = RfidEnvironment()
-    phone = AndroidDevice("prop-phone", env)
+    phone = AndroidDevice("prop-phone", env, reactor_mode=reactor_mode)
     try:
         activity = phone.start_activity(PlainNfcActivity)
         # Tears from the pattern, then a clean link so everything finishes.
@@ -50,15 +58,16 @@ def test_queue_order_and_last_write_wins(payload_count, tear_pattern):
         phone.shutdown()
 
 
+@pytest.mark.parametrize("reactor_mode", REACTOR_MODES)
 @given(
     reads=st.integers(min_value=0, max_value=4),
     writes=st.integers(min_value=1, max_value=4),
 )
 @settings(max_examples=30, deadline=None)
-def test_interleaved_reads_observe_program_order(reads, writes):
+def test_interleaved_reads_observe_program_order(reactor_mode, reads, writes):
     """A read scheduled after a write always observes that write (or later)."""
     env = RfidEnvironment()
-    phone = AndroidDevice("order-phone", env)
+    phone = AndroidDevice("order-phone", env, reactor_mode=reactor_mode)
     try:
         activity = phone.start_activity(PlainNfcActivity)
         tag = text_tag("initial")
@@ -85,29 +94,21 @@ def test_interleaved_reads_observe_program_order(reads, writes):
 @given(st.integers(min_value=1, max_value=6))
 @settings(max_examples=20, deadline=None)
 def test_stop_leaves_no_thread_behind(operation_count):
-    """stop() always retires the private event loop, queue drained or not.
+    """stop() always retires the logical event loop, queue drained or not.
 
-    In the default reactor mode a reference owns no thread at all (its
-    logical loop is a task on the device's shared pool); in the legacy
-    ``threaded=True`` mode stop() must join the private thread.
+    A reference owns no thread: its loop is a task on the device's
+    shared reactor, cancelled by stop().
     """
     env = RfidEnvironment()
     phone = AndroidDevice("stop-phone", env)
     try:
         activity = phone.start_activity(PlainNfcActivity)
         tag = text_tag("x")  # never in the field: everything stays queued
-        threaded_tag = text_tag("y")
         reference = make_reference(activity, tag, phone)
-        threaded_ref = make_reference(activity, threaded_tag, phone, threaded=True)
         for index in range(operation_count):
             reference.write(f"w{index}")
-            threaded_ref.write(f"w{index}")
         reference.stop()
-        threaded_ref.stop()
         assert reference.is_stopped
         assert reference.pending_count == 0
-        assert reference._thread is None  # reactor mode: no private thread
-        assert threaded_ref.is_stopped
-        assert not threaded_ref._thread.is_alive()
     finally:
         phone.shutdown()

@@ -4,7 +4,7 @@ The first half exercises :class:`repro.core.scheduler.Reactor` directly
 (serial tasks, cross-task concurrency, deadline timers, bounded lazy
 workers). The second half checks the paper guarantees *through* the
 reactor: per-tag FIFO ordering for pipelined operations and freedom from
-cross-tag head-of-line blocking, even on a single-worker pool.
+cross-tag head-of-line blocking, even on a single loop thread.
 """
 
 import threading
@@ -14,11 +14,7 @@ from repro.clock import ManualClock
 from repro.concurrent import EventLog, wait_until
 from repro.core.scheduler import PortReadyQueue, Reactor, default_worker_count
 
-from tests.conftest import (
-    make_reference,
-    string_converters,
-    text_tag,
-)
+from tests.conftest import PlainNfcActivity, make_reference, text_tag
 
 
 class TestReactor:
@@ -292,48 +288,26 @@ class TestReactorOrdering:
         assert ref_absent.pending_count == 1  # still queued, still silent
         assert present.read_ndef()[0].payload == b"w19"
 
-    def test_no_head_of_line_blocking_even_with_one_worker(
-        self, scenario, phone, activity
-    ):
-        """The sharpest form: a single-worker reactor. If an absent tag's
-        retry loop ever held the worker, the present tag could never
+    def test_no_head_of_line_blocking_even_with_one_worker(self, scenario):
+        """The sharpest form: one loop thread runs every task -- both
+        references and the transaction scheduler. If an absent tag's
+        retry loop ever held that thread, the present tag could never
         proceed; because waiting tasks return to the deadline heap, it
         does."""
-        from repro.android.nfc.tech import Tag
-        from repro.core.reference import TagReference
-
-        reactor = Reactor(max_workers=1, name="hol-test")
-        try:
-            absent = text_tag("a")
-            present = text_tag("b")
-            scenario.put(present, phone)
-            read_conv, write_conv = string_converters()
-            ref_absent = TagReference(
-                Tag(absent, phone.port),
-                activity,
-                read_conv,
-                write_conv,
-                reactor=reactor,
-            )
-            ref_present = TagReference(
-                Tag(present, phone.port),
-                activity,
-                read_conv,
-                write_conv,
-                reactor=reactor,
-            )
-            try:
-                done = EventLog()
-                ref_absent.write("blocked", timeout=30.0)
-                ref_present.write("lands", on_written=lambda r: done.append("ok"))
-                assert done.wait_for_count(1, timeout=5)
-                assert present.read_ndef()[0].payload == b"lands"
-                assert ref_absent.pending_count == 1
-            finally:
-                ref_absent.stop()
-                ref_present.stop()
-        finally:
-            reactor.stop()
+        phone = scenario.add_phone("hol-phone", reactor_mode="asyncio")
+        activity = scenario.start(phone, PlainNfcActivity)
+        absent = text_tag("a")
+        present = text_tag("b")
+        scenario.put(present, phone)
+        ref_absent = make_reference(activity, absent, phone)
+        ref_present = make_reference(activity, present, phone)
+        done = EventLog()
+        ref_absent.write("blocked", timeout=30.0)
+        ref_present.write("lands", on_written=lambda r: done.append("ok"))
+        assert done.wait_for_count(1, timeout=5)
+        assert present.read_ndef()[0].payload == b"lands"
+        assert ref_absent.pending_count == 1
+        assert phone.reactor.thread_count <= 1
 
     def test_absent_tag_operation_still_times_out_under_reactor(
         self, scenario, phone, activity

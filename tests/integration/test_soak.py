@@ -32,25 +32,14 @@ class TestManyReferences:
     def test_teardown_joins_every_loop_thread(self, scenario, phone, activity):
         """stop_all() retires every logical loop without leaking OS threads.
 
-        Reactor references never own a thread (their loops are tasks on the
-        device's shared pool); legacy ``threaded=True`` references must have
-        their private thread joined.
+        References never own a thread: their loops are tasks on the
+        device's shared reactor.
         """
         tags = make_tags(15)
         references = [make_reference(activity, tag, phone) for tag in tags]
-        threaded_tags = make_tags(3)
-        threaded_refs = [
-            make_reference(activity, tag, phone, threaded=True)
-            for tag in threaded_tags
-        ]
         threads_before = threading.active_count()
         activity.reference_factory.stop_all()
         assert all(reference.is_stopped for reference in references)
-        assert all(reference._thread is None for reference in references)
-        assert all(reference.is_stopped for reference in threaded_refs)
-        assert all(
-            not reference._thread.is_alive() for reference in threaded_refs
-        )
         assert threading.active_count() <= threads_before
 
     def test_churn_with_lossy_link(self, scenario, phone, activity):

@@ -21,13 +21,13 @@ from repro.radio.txscheduler import (
     CrossTagPolicy,
     DeficitPolicy,
     RoundRobinPolicy,
-    SequentialDrainPolicy,
     _op_cost,
     make_policy,
 )
 
 from tests.conftest import (
     PlainNfcActivity,
+    SequentialDrainPolicy,
     make_reference,
     string_converters,
     text_message,
@@ -35,10 +35,10 @@ from tests.conftest import (
 )
 
 
-def co_located_refs(activity, tag, phone, count, **kwargs):
+def co_located_refs(activity, tag, phone, count):
     read_conv, write_conv = string_converters()
     return [
-        TagReference(Tag(tag, phone.port), activity, read_conv, write_conv, **kwargs)
+        TagReference(Tag(tag, phone.port), activity, read_conv, write_conv)
         for _ in range(count)
     ]
 
@@ -48,10 +48,9 @@ class TestPolicyRegistry:
         assert isinstance(make_policy(None), DeficitPolicy)
 
     def test_names_resolve(self):
-        assert isinstance(make_policy("drain"), SequentialDrainPolicy)
         assert isinstance(make_policy("round_robin"), RoundRobinPolicy)
         assert isinstance(make_policy("deficit"), DeficitPolicy)
-        assert set(POLICIES) == {"drain", "round_robin", "deficit"}
+        assert set(POLICIES) == {"round_robin", "deficit"}
 
     def test_instances_pass_through(self):
         policy = RoundRobinPolicy(quantum_ops=3)
@@ -127,11 +126,11 @@ class TestPolicySelection:
 
     def test_set_policy_swaps_at_runtime(self, phone):
         scheduler = phone.tx_scheduler
-        scheduler.set_policy("drain")
-        assert scheduler.policy.name == "drain"
+        scheduler.set_policy("round_robin")
+        assert scheduler.policy.name == "round_robin"
         with pytest.raises(MorenaError):
             scheduler.set_policy("nope")
-        assert scheduler.policy.name == "drain"
+        assert scheduler.policy.name == "round_robin"
 
 
 class TestCrossTagInterleaving:
@@ -170,9 +169,11 @@ class TestCrossTagInterleaving:
             assert events.index("c0") <= 16
 
     def test_drain_policy_preserves_whole_tag_service(self, scenario, activity):
-        """Ablation: under the legacy drain the first-marked tag's whole
-        backlog lands before the second tag is served at all."""
-        phone = scenario.add_phone("drain-phone", tx_policy="drain")
+        """Ablation: under the whole-tag drain baseline the first-marked
+        tag's whole backlog lands before the second tag is served at all."""
+        phone = scenario.add_phone(
+            "drain-phone", tx_policy=SequentialDrainPolicy()
+        )
         app = scenario.start(phone, PlainNfcActivity)
         a_tag, b_tag = text_tag("a"), text_tag("b")
         (a,) = co_located_refs(app, a_tag, phone, 1)

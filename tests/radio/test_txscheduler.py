@@ -20,20 +20,19 @@ from repro.radio.timing import NO_DELAY, NOMINAL, TransferTiming
 
 from tests.conftest import (
     PlainNfcActivity,
-    make_reference,
     string_converters,
     text_message,
     text_tag,
 )
 
 
-def co_located_refs(activity, tag, phone, count, **kwargs):
+def co_located_refs(activity, tag, phone, count):
     """``count`` distinct references to one tag (bypasses the
     per-activity identity map -- think one reference per activity, all
     sharing the device's radio)."""
     read_conv, write_conv = string_converters()
     return [
-        TagReference(Tag(tag, phone.port), activity, read_conv, write_conv, **kwargs)
+        TagReference(Tag(tag, phone.port), activity, read_conv, write_conv)
         for _ in range(count)
     ]
 
@@ -167,32 +166,6 @@ class TestPartialBatch:
         assert phone.port.connects - connects_before >= 2
         for ref in refs:
             assert ref.successes == 1
-
-
-class TestOptOut:
-    def test_batched_false_reference_stays_standalone(
-        self, scenario, phone, activity, tag
-    ):
-        (ref,) = co_located_refs(activity, tag, phone, 1, batched=False)
-        assert phone.tx_scheduler.references_for(tag) == []
-        done = EventLog()
-        ref.write("solo-1", on_written=lambda _r: done.append(1))
-        ref.write("solo-2", on_written=lambda _r: done.append(2))
-        connects_before = phone.port.connects
-        scenario.put(tag, phone)
-        assert done.wait_for_count(2)
-        # Standalone path: one connect per operation.
-        assert phone.port.connects - connects_before == 2
-
-    def test_threaded_reference_never_batches(
-        self, scenario, phone, activity, tag
-    ):
-        ref = make_reference(activity, tag, phone, threaded=True)
-        assert phone.tx_scheduler.references_for(tag) == []
-        done = EventLog()
-        ref.write("threaded", on_written=lambda _r: done.append(1))
-        scenario.put(tag, phone)
-        assert done.wait_for_count(1)
 
 
 class TestLifecycle:
