@@ -1,24 +1,22 @@
-"""Asyncio-backend benches: idle density, wakeup latency, throughput.
+"""Reactor benches: idle density, wakeup latency, throughput.
 
-The tentpole claim of the asyncio reactor backend (DESIGN.md decision
-14) is *density*: every reference's logical event loop is a plain
-callback chain on one shared event loop, so an idle reference costs a
-few slotted objects -- no thread, no stack, no per-reference waiter
-state -- and 100,000 of them fit in one process at near-zero
-steady-state CPU.
+The density claim of the asyncio reactor (DESIGN.md decision 14):
+every reference's logical event loop is a plain callback chain on one
+shared event loop, so an idle reference costs a few slotted objects --
+no thread, no stack, no per-reference waiter state -- and 100,000 of
+them fit in one process at near-zero steady-state CPU.
 
 Three measurements, merged into ``BENCH_async.json``:
 
-* idle density -- 100k references on one ``Reactor(mode="asyncio")``:
+* idle density -- 100k references on one device reactor:
   middleware RSS per idle reference (tags are built before the
   baseline snapshot, so the simulated tag's own memory -- physics, not
   middleware -- is excluded), plus idle CPU once every reference holds
   a parked pending write whose deadline sits on the reactor's timer
   heap (a single armed ``call_later``, however many deadlines park);
 * wakeup latency -- p50/p99 lag between a ``schedule_at`` deadline and
-  the step actually running, per backend, under a realtime clock;
-* throughput -- a write+read per reference across in-field references,
-  asyncio backend vs the default threaded pool.
+  the step actually running, under a realtime clock;
+* throughput -- a write+read per reference across in-field references.
 
 Converters are shared across references (the production pattern: a
 ``TagDiscoverer`` hands its one converter pair to every reference it
@@ -86,10 +84,10 @@ def _build_references(activity, phone, tags):
 
 
 def _run_density_phase(count: int) -> dict:
-    """Idle density on the asyncio backend: RSS per bare idle reference,
-    then idle CPU with a parked pending write per reference."""
+    """Idle density: RSS per bare idle reference, then idle CPU with a
+    parked pending write per reference."""
     with Scenario() as scenario:
-        phone = scenario.add_phone("density-asyncio", reactor_mode="asyncio")
+        phone = scenario.add_phone("density-asyncio")
         activity = scenario.start(phone, PlainNfcActivity)
         tags = make_tags(count)  # absent: never enter the field
 
@@ -116,10 +114,10 @@ def _run_density_phase(count: int) -> dict:
         }
 
 
-def _run_wakeup_latency(mode: str) -> dict:
+def _run_wakeup_latency() -> dict:
     """p50/p99 lag between a realtime deadline and the step running."""
     clock = SystemClock()
-    reactor = Reactor(clock=clock, mode=mode, name=f"lat-{mode}")
+    reactor = Reactor(clock=clock, name="lat")
     try:
         latencies = []
         lock = threading.Lock()
@@ -152,12 +150,10 @@ def _run_wakeup_latency(mode: str) -> dict:
         reactor.stop()
 
 
-def _run_throughput(reactor_mode: str) -> dict:
+def _run_throughput() -> dict:
     """A write+read per reference across in-field references."""
     with Scenario() as scenario:
-        phone = scenario.add_phone(
-            f"tput-{reactor_mode}", reactor_mode=reactor_mode
-        )
+        phone = scenario.add_phone("tput")
         activity = scenario.start(phone, PlainNfcActivity)
         tags = make_tags(THROUGHPUT_REFERENCES)
         for tag in tags:
@@ -190,7 +186,7 @@ def _run_throughput(reactor_mode: str) -> dict:
 
 
 def test_hundred_thousand_idle_references(benchmark):
-    """100k idle references on the asyncio backend: at most
+    """100k idle references on one device reactor: at most
     ``KB_PER_REFERENCE_CEILING`` each, one runtime thread, near-zero CPU."""
     asyncio_mode = benchmark.pedantic(
         _run_density_phase, args=(ASYNCIO_REFERENCES,), rounds=1, iterations=1
@@ -227,58 +223,35 @@ def test_hundred_thousand_idle_references(benchmark):
 
 
 def test_wakeup_latency_and_throughput(benchmark):
-    """Loop timers must match the threaded timer thread's promptness,
-    and reference throughput must survive the single-loop backend."""
+    """Loop timers must fire promptly, and reference throughput must
+    survive one loop thread running every task."""
 
     def run_all():
-        return {
-            "wakeup": {
-                mode: _run_wakeup_latency(mode)
-                for mode in ("threaded", "asyncio")
-            },
-            "throughput": {
-                mode: _run_throughput(mode) for mode in ("threaded", "asyncio")
-            },
-        }
+        return {"wakeup": _run_wakeup_latency(), "throughput": _run_throughput()}
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     table = Table(
-        "Async backend -- wakeup latency and reference throughput",
-        ["measure", "threaded", "asyncio"],
+        "Reactor -- wakeup latency and reference throughput", ["measure", "value"]
     )
     table.add_row(
-        f"wakeup p50 over {TIMER_TASKS} timers (ms)",
-        results["wakeup"]["threaded"]["p50_ms"],
-        results["wakeup"]["asyncio"]["p50_ms"],
+        f"wakeup p50 over {TIMER_TASKS} timers (ms)", results["wakeup"]["p50_ms"]
     )
-    table.add_row(
-        "wakeup p99 (ms)",
-        results["wakeup"]["threaded"]["p99_ms"],
-        results["wakeup"]["asyncio"]["p99_ms"],
-    )
+    table.add_row("wakeup p99 (ms)", results["wakeup"]["p99_ms"])
     table.add_row(
         f"ops/s over {THROUGHPUT_REFERENCES} in-field refs",
-        results["throughput"]["threaded"]["ops_per_second"],
-        results["throughput"]["asyncio"]["ops_per_second"],
+        results["throughput"]["ops_per_second"],
     )
     table.print()
 
     _PAYLOAD["wakeup_latency"] = {
         "delay_seconds": TIMER_DELAY_SECONDS,
-        "threaded": results["wakeup"]["threaded"],
-        "asyncio": results["wakeup"]["asyncio"],
+        **results["wakeup"],
     }
-    _PAYLOAD["throughput"] = {
-        "threaded": results["throughput"]["threaded"],
-        "asyncio": results["throughput"]["asyncio"],
-    }
+    _PAYLOAD["throughput"] = results["throughput"]
     emit_bench_json("async", _PAYLOAD)
 
-    for mode in ("threaded", "asyncio"):
-        # Loose ceiling: CI boxes are noisy, but a timer backend that
-        # fires whole tenths of a second late is broken.
-        assert results["wakeup"][mode]["p99_ms"] < 500.0
-        assert results["throughput"][mode]["ops_completed"] == (
-            2 * THROUGHPUT_REFERENCES
-        )
+    # Loose ceiling: CI boxes are noisy, but a timer that fires whole
+    # tenths of a second late is broken.
+    assert results["wakeup"]["p99_ms"] < 500.0
+    assert results["throughput"]["ops_completed"] == 2 * THROUGHPUT_REFERENCES

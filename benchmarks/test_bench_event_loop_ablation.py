@@ -132,7 +132,7 @@ def test_no_cross_tag_head_of_line_blocking(benchmark):
         ["design", "write latency (ms)"],
     )
     table.add_row("shared FIFO executor", round(shared_ms, 1))
-    table.add_row("per-reference loops (reactor pool)", round(reactor_ms, 1))
+    table.add_row("per-reference loops (reactor)", round(reactor_ms, 1))
     table.print()
 
     # The shared worker holds B hostage for roughly A's whole timeout.

@@ -1,34 +1,38 @@
-"""Fleet gateway ingestion: sustained throughput and the shard ablation.
+"""Fleet gateway ingestion: sustained throughput and shard isolation.
 
 Two experiments, one JSON (``BENCH_gateway.json``):
 
 * ``fleet_10k`` — 10,000 simulated devices (one
   :class:`GatewayReporter` per station) replay a seeded turnstile rush
-  through a 4-shard gateway on the threaded reactor; reported rows are
-  sustained ingested events/second wall-clock and the p99 ingest
-  latency (submit -> applied-to-views), both guarded in CI.
-* ``shard_ablation`` — the perf claim itself: the same producer load
-  (several threads submitting as fast as they can, bounded queues,
-  oldest-shedding) against 1 shard vs ``SHARDS`` shards with the
-  **total** queue capacity equalized. One shard means one serial drain
-  task: under multi-threaded pressure it starves, its queue sits full
-  (shedding, high queue wait), and *sustained ingested* events/second —
-  throughput net of drops — is what the sharded layout wins on. The
-  bench asserts the win outright.
-
-Unlike the virtual-time benches this one is wall-clock by necessity
-(queue-wait latency under thread contention is the phenomenon), so the
-guarded tolerances are generous.
+  through a 4-shard gateway; reported rows are sustained ingested
+  events/second wall-clock and the p99 ingest latency (submit ->
+  applied-to-views), both guarded in CI. Wall-clock by necessity, so
+  the guarded tolerances are generous.
+* ``shard_isolation`` — what sharding buys, counted in events rather
+  than seconds: one reporter batch carries a few events on cold tags,
+  then a hot tag's burst deeper than the whole buffer. Into ``SHARDS``
+  shards of ``Q`` the burst sheds only the hot tag's own shard; into one
+  shard of ``SHARDS × Q`` (the same total buffer) it sheds the cold
+  events too. Every shard drains on the one reactor loop, so shards do
+  not ingest faster than one queue; they isolate. The sharded layout's
+  cold-tag drops are guarded at zero, and the bench asserts that the
+  one-queue layout does shed cold events, so collapsing
+  ``FleetGateway`` to one queue fails it.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 
-from repro.clock import SystemClock
+from repro.clock import ManualClock, SystemClock
 from repro.core.scheduler import Reactor
-from repro.gateway import FleetGateway, ScanEvent, make_fleet_reporters, simulate_fleet
+from repro.gateway import (
+    FleetGateway,
+    ScanEvent,
+    make_fleet_reporters,
+    shard_of,
+    simulate_fleet,
+)
 from repro.harness.crowd import turnstile_rush
 from repro.harness.report import Table
 
@@ -38,11 +42,10 @@ FLEET_DEVICES = 10_000
 FLEET_TAGS = 20_000
 FLEET_SHARDS = 4
 
-ABLATION_PRODUCERS = 6
-ABLATION_SECONDS = 0.6
-ABLATION_TOTAL_QUEUE = 16_384  # split across shards: capacity is equalized
-ABLATION_SHARDS = 4
-ABLATION_TAGS_PER_PRODUCER = 512
+ISOLATION_SHARDS = 4
+ISOLATION_QUEUE = 64  # Q: one shard's capacity in the sharded layout
+ISOLATION_COLD_TAGS = 6
+ISOLATION_HOT_BURST = ISOLATION_SHARDS * ISOLATION_QUEUE + 64  # > the whole buffer
 
 
 def run_fleet_10k() -> dict:
@@ -92,64 +95,43 @@ def run_fleet_10k() -> dict:
         reactor.stop()
 
 
-def run_shard_ablation(shards: int) -> dict:
-    """Fixed producer pressure for ``ABLATION_SECONDS``; vary shard count."""
-    clock = SystemClock()
-    reactor = Reactor(clock=clock, name=f"bench-ablate-{shards}")
+def run_shard_isolation(shards: int) -> dict:
+    """Cold events then a hot burst in one batch; count who gets shed."""
+    clock = ManualClock()
+    reactor = Reactor(clock=clock, name=f"bench-isolate-{shards}")
     gateway = FleetGateway(
         reactor,
         clock=clock,
         shards=shards,
-        max_queue=ABLATION_TOTAL_QUEUE // shards,
-        max_batch=128,
+        max_queue=ISOLATION_SHARDS * ISOLATION_QUEUE // shards,
     )
-    stop = threading.Event()
-    submitted_counts = [0] * ABLATION_PRODUCERS
-
-    def produce(slot: int) -> None:
-        # Distinct tag slices per producer so the hash spreads shards.
-        uids = [
-            f"tag-{slot:02d}-{i:04d}" for i in range(ABLATION_TAGS_PER_PRODUCER)
-        ]
-        station = f"station-{slot:02d}"
-        index = 0
-        while not stop.is_set():
-            gateway.submit(
-                ScanEvent("scan", uids[index % len(uids)], station, clock.now())
-            )
-            index += 1
-        submitted_counts[slot] = index
-
-    threads = [
-        threading.Thread(target=produce, args=(slot,), daemon=True)
-        for slot in range(ABLATION_PRODUCERS)
-    ]
-    started = time.monotonic()
+    hot = "tag-hot"
+    hot_shard = shard_of(hot, ISOLATION_SHARDS)
+    cold = [
+        uid
+        for uid in (f"tag-cold-{index:03d}" for index in range(64))
+        if shard_of(uid, ISOLATION_SHARDS) != hot_shard
+    ][:ISOLATION_COLD_TAGS]
     try:
-        for thread in threads:
-            thread.start()
-        time.sleep(ABLATION_SECONDS)
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        drained = gateway.drain(timeout=30.0)
-        elapsed = time.monotonic() - started
-        assert drained, f"{shards}-shard gateway failed to drain"
-        telemetry = gateway.telemetry()
-        latency = gateway.ingest_latency()
+        gateway.submit_batch(
+            [ScanEvent("scan", uid, "cold-gate", 0.0) for uid in cold]
+            + [
+                ScanEvent("scan", hot, "hot-gate", 0.0)
+                for _ in range(ISOLATION_HOT_BURST)
+            ]
+        )
+        assert gateway.drain(timeout=30.0), f"{shards}-shard gateway failed to drain"
+        rates = gateway.station_rates()
+        cold_ingested = rates.get("cold-gate", {}).get("total", 0)
+        hot_ingested = rates.get("hot-gate", {}).get("total", 0)
         return {
             "shards": shards,
-            "producers": ABLATION_PRODUCERS,
-            "queue_per_shard": ABLATION_TOTAL_QUEUE // shards,
-            "events_submitted": telemetry["events_submitted"],
-            "events_ingested": telemetry["events_ingested"],
-            "events_dropped_queue": telemetry["events_dropped_queue"],
-            "queue_high_water": telemetry["queue_high_water"],
-            "wall_seconds": round(elapsed, 4),
-            "events_per_second": round(
-                telemetry["events_ingested"] / elapsed, 1
-            ),
-            "ingest_p99_seconds": latency.p99,
+            "queue_per_shard": ISOLATION_SHARDS * ISOLATION_QUEUE // shards,
+            "cold_events": len(cold),
+            "hot_events": ISOLATION_HOT_BURST,
+            "cold_dropped": len(cold) - cold_ingested,
+            "hot_dropped": ISOLATION_HOT_BURST - hot_ingested,
+            "events_dropped_queue": gateway.telemetry()["events_dropped_queue"],
         }
     finally:
         gateway.close()
@@ -158,13 +140,14 @@ def run_shard_ablation(shards: int) -> dict:
 
 def test_gateway_ingestion(benchmark):
     fleet = benchmark.pedantic(run_fleet_10k, rounds=1, iterations=1)
-    single = run_shard_ablation(1)
-    sharded = run_shard_ablation(ABLATION_SHARDS)
+    single = run_shard_isolation(1)
+    sharded = run_shard_isolation(ISOLATION_SHARDS)
 
     table = Table(
-        f"Fleet gateway -- {FLEET_DEVICES} devices, then "
-        f"{ABLATION_PRODUCERS}-thread pressure ablation (wall clock)",
-        ["experiment", "ingested", "dropped", "events/s", "p99 ingest (s)"],
+        f"Fleet gateway -- {FLEET_DEVICES} devices (wall clock), then a hot "
+        f"burst of {ISOLATION_HOT_BURST} behind {ISOLATION_COLD_TAGS} cold events",
+        ["experiment", "ingested", "dropped", "events/s", "p99 ingest (s)",
+         "cold dropped"],
     )
     table.add_row(
         f"fleet replay ({FLEET_SHARDS} shards)",
@@ -172,40 +155,33 @@ def test_gateway_ingestion(benchmark):
         fleet["events_dropped_queue"],
         fleet["events_per_second"],
         round(fleet["ingest_p99_seconds"], 5),
+        "",
     )
     for row in (single, sharded):
         table.add_row(
-            f"pressure, {row['shards']} shard(s)",
-            row["events_ingested"],
+            f"isolation, {row['shards']} shard(s) of {row['queue_per_shard']}",
+            row["cold_events"] + row["hot_events"] - row["events_dropped_queue"],
             row["events_dropped_queue"],
-            row["events_per_second"],
-            round(row["ingest_p99_seconds"], 5),
+            "",
+            "",
+            row["cold_dropped"],
         )
     table.print()
 
     # The fleet replay must be lossless at this load.
     assert fleet["events_dropped_queue"] == 0
     assert fleet["events_ingested"] == fleet["events_recorded"]
-    # The perf claim: N serial drain tasks sustain more ingested
-    # events/second under the same producer pressure than one.
-    assert sharded["events_per_second"] > single["events_per_second"], (
-        f"sharding did not win: {ABLATION_SHARDS} shards "
-        f"{sharded['events_per_second']}/s vs 1 shard "
-        f"{single['events_per_second']}/s"
-    )
+    # Same total buffer, same batch: one queue sheds the cold events
+    # ahead of the burst, the sharded layout sheds only the hot tag's.
+    assert single["cold_dropped"] == ISOLATION_COLD_TAGS
+    assert sharded["cold_dropped"] == 0
+    for row in (single, sharded):
+        assert row["cold_dropped"] + row["hot_dropped"] == row["events_dropped_queue"]
 
     emit_bench_json(
         "gateway",
         {
             "fleet_10k": fleet,
-            "shard_ablation": {
-                "single": single,
-                "sharded": sharded,
-                "speedup": round(
-                    sharded["events_per_second"]
-                    / max(single["events_per_second"], 1e-9),
-                    3,
-                ),
-            },
+            "shard_isolation": {"single": single, "sharded": sharded},
         },
     )

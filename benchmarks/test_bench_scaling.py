@@ -4,7 +4,7 @@
 reference a private OS thread (the paper-literal reading of "its own
 thread of control"), so 1,000 live references cost 1,000 threads plus
 polling wakeups while tags are out of range. The reactor multiplexes
-all logical loops onto a bounded pool, so the same population must fit
+all logical loops onto one loop thread, so the same population must fit
 in a bounded thread budget and burn (near) zero CPU while idle.
 
 Two measurements:
@@ -103,7 +103,6 @@ def _run_reactor_population() -> dict:
             "threads_before": threads_before,
             "threads_peak": threads_peak,
             "reactor_workers": phone.reactor.thread_count,
-            "reactor_max_workers": phone.reactor.max_workers,
             "idle_cpu_seconds": idle_cpu,
         }
 
@@ -113,7 +112,7 @@ def test_thousand_references_bounded_threads(benchmark):
 
     table = Table(
         f"Reference scaling -- {REFERENCES} concurrent references on the "
-        "reactor pool",
+        "device reactor",
         ["measure", "reactor"],
     )
     table.add_row("peak runtime threads", reactor["threads_peak"])
@@ -131,7 +130,6 @@ def test_thousand_references_bounded_threads(benchmark):
         "ops_per_second": reactor["ops_per_second"],
         "threads_peak": reactor["threads_peak"],
         "reactor_workers": reactor["reactor_workers"],
-        "reactor_max_workers": reactor["reactor_max_workers"],
         "idle_cpu_seconds_reactor": reactor["idle_cpu_seconds"],
         "idle_window_seconds": IDLE_WINDOW_SECONDS,
     }

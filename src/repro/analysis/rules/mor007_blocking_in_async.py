@@ -1,10 +1,10 @@
 """MOR007: blocking call inside a coroutine.
 
-An ``async def`` body runs on an event loop — the asyncio reactor's
-loop (``Reactor(mode="asyncio")``), or whatever loop the application
+An ``async def`` body runs on an event loop — a device reactor's loop
+(``repro.core.aio.run_on_reactor``), or whatever loop the application
 drives. One blocking call there stalls *every* coroutine and every
-reference multiplexed on that loop, which in asyncio mode is the whole
-device: strictly worse than MOR001's frozen looper. ``time.sleep``
+reference multiplexed on that loop, which on the reactor's loop is the
+whole device: strictly worse than MOR001's frozen looper. ``time.sleep``
 has ``asyncio.sleep``, ``future.result()`` has ``await future``,
 ``looper.sync()`` has no business in a coroutine at all, and the
 blocking reference idioms have ``ref.aio`` (``await ref.aio.read()``).

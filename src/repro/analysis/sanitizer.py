@@ -4,27 +4,26 @@ The paper's contract is a thread-affinity contract: listeners "are
 always asynchronously scheduled for execution in the activity's main
 thread", so bound :class:`~repro.things.thing.Thing` state is owned by
 the device's main looper and nothing running on middleware threads
-(reactor workers, looper pumps, beamer event loops) may poke
+(reactor loops, looper pumps, beamer event loops) may poke
 it directly. ``morelint`` checks that statically; this module checks it
 at run time, for the cases no source analysis can see (callbacks built
 dynamically, third-party helpers, the middleware itself regressing).
 
 When installed, the sanitizer patches:
 
-* ``Looper._loop``, ``Reactor._worker_loop`` / ``_timer_loop`` and
-  ``Beamer._event_loop`` so every middleware thread registers itself on
-  entry (threads started *before* installation are recognized by their
-  names as a fallback);
+* ``Looper._loop``, ``Reactor._loop_runner`` and ``Beamer._event_loop``
+  so every middleware thread registers itself on entry (threads started
+  *before* installation are recognized by their names as a fallback).
+  The reactor's loop thread is middleware too (event-**loop** affinity
+  alongside looper affinity: a step mutating a bound Thing from the
+  loop thread is an off-looper mutation like any other middleware
+  thread's);
 * ``Thing.__setattr__`` so public-field writes to a *bound* Thing from
   a middleware thread that is not the owning looper's pump thread are
   recorded as :class:`AffinityViolation`; unbound Things stay freely
-  mutable -- Gson legitimately revives them on reactor workers;
+  mutable -- Gson legitimately revives them on the reactor loop;
 * ``TagReference._post_listener`` so every listener verifies, at the
   moment it executes, that it is running on the reference's main looper;
-* ``AsyncioReactor._loop_runner`` so the asyncio backend's loop thread
-  registers as middleware (event-**loop** affinity alongside looper
-  affinity: a callback mutating a bound Thing from the loop thread is an
-  off-looper mutation like any other middleware thread's);
 * ``OperationFuture.result`` and ``Looper.sync`` so a *blocking* wait
   executed inside a running asyncio event loop — the reactor's or any
   user loop — is recorded as a ``blocking-on-loop`` violation: one
@@ -358,9 +357,9 @@ class ThreadAffinitySanitizer:
             if thread.ident in self._middleware_idents:
                 return True
         name = thread.name
-        return any(name.startswith(mark) for mark in _MIDDLEWARE_NAME_MARKS) or (
-            "-worker-" in name or name.endswith("-timer") or name.endswith("-aioloop")
-        )
+        return any(
+            name.startswith(mark) for mark in _MIDDLEWARE_NAME_MARKS
+        ) or name.endswith("-aioloop")
 
     # -- recording -----------------------------------------------------------
 
@@ -396,13 +395,11 @@ class ThreadAffinitySanitizer:
         from repro.core.beam import Beamer
         from repro.core.futures import OperationFuture
         from repro.core.reference import TagReference
-        from repro.core.scheduler import AsyncioReactor, Reactor
+        from repro.core.scheduler import Reactor
         from repro.things.thing import Thing
 
         self._patch_registering(Looper, "_loop", "looper")
-        self._patch_registering(Reactor, "_worker_loop", "reactor-worker")
-        self._patch_registering(Reactor, "_timer_loop", "reactor-timer")
-        self._patch_registering(AsyncioReactor, "_loop_runner", "asyncio-loop")
+        self._patch_registering(Reactor, "_loop_runner", "reactor-loop")
         self._patch_registering(Beamer, "_event_loop", "beamer")
         self._patch_thing_setattr(Thing)
         self._patch_post_listener(TagReference)
@@ -536,7 +533,7 @@ class ThreadAffinitySanitizer:
 
         Only *bound* Things have an owner: binding is the moment a Thing
         becomes shared with the middleware (Gson freely builds and fills
-        unbound instances on reactor workers while reviving reads).
+        unbound instances on the reactor loop while reviving reads).
         """
         if thing.__dict__.get("_reference") is None:
             return None

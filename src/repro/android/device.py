@@ -42,12 +42,10 @@ class AndroidDevice:
         environment: RfidEnvironment,
         link: Optional[object] = None,
         tx_policy: object = None,
-        reactor_mode: str = "threaded",
     ) -> None:
         self.name = name
         self._env = environment
         self._tx_policy = tx_policy  # cross-tag service policy spec
-        self._reactor_mode = reactor_mode  # "threaded" | "asyncio"
         self._port: NfcAdapterPort = environment.create_port(name, link=link)
         self._looper = Looper(name=f"{name}-main", clock=environment.clock)
         self._adapter = NfcAdapter(self, self._port)
@@ -83,16 +81,13 @@ class AndroidDevice:
         """The device's shared reference scheduler (created lazily).
 
         All tag references of all activities on this device multiplex
-        their event loops onto this one bounded pool — or, with
-        ``reactor_mode="asyncio"``, onto one coroutine event loop; see
-        :mod:`repro.core.scheduler`.
+        their event loops onto this reactor's one ``asyncio`` loop
+        thread; see :mod:`repro.core.scheduler`.
         """
         with self._reactor_lock:
             if self._reactor is None:
                 self._reactor = Reactor(
-                    clock=self._env.clock,
-                    name=f"{self.name}-reactor",
-                    mode=self._reactor_mode,
+                    clock=self._env.clock, name=f"{self.name}-reactor"
                 )
             return self._reactor
 

@@ -229,7 +229,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     from repro.harness.crowd import fleet_day
 
     clock = ManualClock()
-    reactor = Reactor(clock=clock, name="gateway", mode=args.backend)
+    reactor = Reactor(clock=clock, name="gateway")
     gateway = FleetGateway(
         reactor,
         clock=clock,
@@ -241,7 +241,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     reporters = make_fleet_reporters(gateway, args.devices)
     print(
         f"fleet: {args.devices} devices, {args.tags} tags, "
-        f"{args.shards} shard(s) on the {args.backend} reactor"
+        f"{args.shards} shard(s) on one reactor loop"
     )
     print(f"schedule: {schedule!r}")
 
@@ -422,12 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gateway.add_argument(
         "--shards", type=int, default=4, help="ingestion shard count"
-    )
-    gateway.add_argument(
-        "--backend",
-        choices=["threaded", "asyncio"],
-        default="threaded",
-        help="reactor backend the shards drain on",
     )
     gateway.add_argument(
         "--seed", type=int, default=0, help="deterministic RNG seed"

@@ -39,7 +39,7 @@ from repro.core.listeners import (
 )
 from repro.core.operations import Operation, OperationKind, OperationOutcome
 from repro.core.reference import TagReference
-from repro.core.scheduler import Reactor, ReactorTask, default_worker_count
+from repro.core.scheduler import Reactor, ReactorTask
 from repro.core.futures import (
     OperationFuture,
     OperationTimeoutError,
@@ -57,7 +57,6 @@ __all__ = [
     "TagReferenceFactory",
     "Reactor",
     "ReactorTask",
-    "default_worker_count",
     "TagDiscoverer",
     "NFCActivity",
     "Beamer",

@@ -20,9 +20,8 @@ exact same :class:`~repro.core.operations.Operation` a listener-style
 ``ref.read()`` would — same queue, same coalescing, same per-port
 transaction batching, same retry/timeout behaviour — and merely awaits
 its :class:`~repro.core.futures.OperationFuture`. The adapters therefore
-work identically whether the device's reactor runs in ``"threaded"`` or
-``"asyncio"`` mode, and whether the awaiting coroutine lives on the
-asyncio reactor's own loop or on any other event loop (the bridge in
+work identically whether the awaiting coroutine lives on the device
+reactor's own loop or on any other event loop (the bridge in
 ``OperationFuture.__await__`` is thread-safe in both directions).
 
 Nothing in the middleware ever *requires* this module: the listener API
@@ -33,6 +32,7 @@ choice in the RAFDA sense — see DESIGN.md decision 14.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 from typing import Any, AsyncIterator, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.futures import (
@@ -49,6 +49,7 @@ from repro.core.futures import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.discovery import TagDiscoverer
     from repro.core.reference import TagReference
+    from repro.core.scheduler import Reactor
     from repro.ndef.message import NdefMessage
     from repro.things.thing import Thing
 
@@ -284,25 +285,11 @@ def tag_stream(
     return TagStream(discoverer, events=events, max_buffer=max_buffer)
 
 
-def run_on_reactor(reactor: Any, coroutine: Any) -> "asyncio.Future":
-    """Run ``coroutine`` on an asyncio-mode reactor's loop.
+def run_on_reactor(reactor: "Reactor", coroutine: Any) -> concurrent.futures.Future:
+    """Run ``coroutine`` on ``reactor``'s loop, starting the loop if needed.
 
-    Returns a ``concurrent.futures.Future``-compatible handle (from
-    ``asyncio.run_coroutine_threadsafe``); call ``.result(timeout)``
-    from any non-loop thread, e.g. a test harness. Raises ``TypeError``
-    for a threaded reactor — there is no loop to run on.
+    Returns the ``concurrent.futures.Future`` from
+    ``asyncio.run_coroutine_threadsafe``; call ``.result(timeout)`` from
+    any non-loop thread, e.g. a test harness.
     """
-    loop = getattr(reactor, "loop", None)
-    if loop is None:
-        # Touch-start the reactor so the loop exists, then retry once.
-        ensure = getattr(reactor, "_ensure_started_locked", None)
-        cond = getattr(reactor, "_cond", None)
-        if ensure is not None and cond is not None and hasattr(reactor, "_loop"):
-            with cond:
-                ensure()
-            loop = reactor.loop
-    if loop is None:
-        raise TypeError(
-            f"{reactor!r} has no event loop; run_on_reactor needs mode='asyncio'"
-        )
-    return asyncio.run_coroutine_threadsafe(coroutine, loop)
+    return asyncio.run_coroutine_threadsafe(coroutine, reactor.start())

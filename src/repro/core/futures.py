@@ -101,11 +101,11 @@ class OperationFuture:
         callback(self)
 
     def __await__(self) -> Generator[Any, None, Any]:
-        """``await future`` from any coroutine, on either reactor backend.
+        """``await future`` from any coroutine, on any event loop.
 
         Bridges to an :class:`asyncio.Future` on the *awaiting* loop via
-        ``call_soon_threadsafe``, so the settling thread (a looper, a
-        reactor worker, or the asyncio reactor's own loop) never matters.
+        ``call_soon_threadsafe``, so the settling thread (a looper or the
+        reactor's loop) never matters.
         Failures raise exactly what :meth:`result` would raise.
         """
         loop = asyncio.get_running_loop()

@@ -160,7 +160,7 @@ class TagReference:
     from a :class:`~repro.core.factory.TagReferenceFactory`).
     """
 
-    # Slotted: an idle reference is the unit the asyncio backend scales
+    # Slotted: an idle reference is the unit the reactor scales
     # by (100k per process), and the instance dict would be its single
     # largest allocation. ``__weakref__`` is kept for diagnostics.
     __slots__ = (
@@ -321,7 +321,7 @@ class TagReference:
 
         A stateless adapter over the listener API — same operations,
         same queue, same guarantees; see :mod:`repro.core.aio`. Works
-        under either reactor backend and from any event loop.
+        from the reactor's loop and from any other event loop.
         """
         from repro.core.aio import AsyncTagReference
 
@@ -728,7 +728,7 @@ class TagReference:
         if operation.merged:
             # The queue did not grow and the tail was already being
             # awaited; only the deadline may have moved. Adopt it on
-            # the reactor's timer heap instead of spinning a worker.
+            # the reactor's timer heap instead of queueing a step.
             self._task.schedule_at(operation.deadline)
         else:
             self._task.wake()

@@ -1,4 +1,4 @@
-"""The reactor: multiplexes many logical event loops onto few threads.
+"""The reactor: multiplexes many logical event loops onto one loop thread.
 
 The paper gives every tag reference "its own thread of control"
 (section 3.2). That is a statement about *logical* concurrency — each
@@ -9,39 +9,29 @@ process at a few hundred live references and burns CPU in polling
 waits. Following RAFDA's separation of the logical object model from
 the physical distribution policy (see PAPERS.md and DESIGN.md decision
 7), this module keeps the per-reference event-loop *semantics* while
-multiplexing execution onto a bounded worker pool:
+running every step as a callback on one ``asyncio`` event loop:
 
 * every logical loop is a :class:`ReactorTask` — a ``step`` callable
   that runs one scheduling quantum and reports when it next wants to
   run;
-* a task is **serial**: the reactor never runs the same task on two
-  workers at once (wakeups arriving mid-step set a rerun flag), so each
-  reference keeps its per-tag FIFO guarantees without extra locking;
-* tasks never sleep on a worker — a task waiting for a retry interval,
-  an operation deadline, or a tag to reappear *returns*, freeing its
-  worker, and is re-queued by the deadline heap or an external
-  :meth:`ReactorTask.wake` (field events, enqueues, clock advances);
-* the pool is bounded (default ``min(32, 4 × cores)``) and lazily
-  grown, so a thousand idle references cost zero threads and zero CPU.
+* a task is **serial**: the reactor never runs the same task twice at
+  once (wakeups arriving mid-step set a rerun flag), so each reference
+  keeps its per-tag FIFO guarantees without extra locking;
+* tasks never sleep on the loop — a task waiting for a retry interval,
+  an operation deadline, or a tag to reappear *returns*, and is
+  re-queued by the deadline heap or an external :meth:`ReactorTask.wake`
+  (field events, enqueues, clock advances);
+* the loop thread starts on the first wake and is the only thread a
+  reactor ever owns; an idle task is a small Python object with no
+  stack, no handle and no timer, so a process holds 100k idle
+  references at near-zero CPU (``benchmarks/test_bench_async.py``).
 
-Time handling is fully event-driven. With a real clock the timer waits
-exactly until the earliest deadline; with a :class:`~repro.clock.
-ManualClock` the reactor subscribes to advance notifications, so
-simulated time only needs to move for deadlines to fire. Clocks that
-support neither fall back to a coarse real-time poll.
-
-Two backends implement the same contract. ``Reactor(mode="threaded")``
-(the default) is the worker pool described above. ``Reactor(
-mode="asyncio")`` — :class:`AsyncioReactor` — runs every task's steps as
-callbacks on one ``asyncio`` event loop instead: no worker threads, no
-timer thread, and the deadline heap is serviced by a single
-``loop.call_later`` armed at the earliest deadline (or by ``ManualClock``
-advance notifications, exactly like the threaded timer). A process can
-hold hundreds of thousands of idle references in asyncio mode because an
-idle task is just a small Python object — no stack, no lock-guarded
-hand-off, no thread wakeups. :class:`ReactorTask` is identical over both
-backends; only the machinery that runs steps differs (DESIGN.md
-decision 14).
+Time handling is fully event-driven. The deadline heap is serviced by
+**one** ``loop.call_later`` armed at the earliest deadline (real
+clock); with a :class:`~repro.clock.ManualClock` the reactor subscribes
+to advance notifications instead, so simulated time only needs to move
+for deadlines to fire. Clocks that support neither fall back to a
+coarse real-time poll.
 """
 
 from __future__ import annotations
@@ -49,11 +39,10 @@ from __future__ import annotations
 import asyncio
 import heapq
 import itertools
-import os
 import threading
 import traceback
 from collections import deque
-from typing import Callable, Deque, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.clock import Clock, SystemClock
 
@@ -67,15 +56,8 @@ StepFn = Callable[[], Optional[float]]
 _FALLBACK_POLL_SECONDS = 0.01
 
 _IDLE = 0  # not scheduled; runs only when woken
-_QUEUED = 1  # in the ready queue, a worker will pick it up
-_RUNNING = 2  # a worker is executing its step right now
-
-_REACTOR_MODES = ("threaded", "asyncio")
-
-
-def default_worker_count() -> int:
-    """The default pool bound: ``min(32, 4 × cores)``, at least 1."""
-    return max(1, min(32, 4 * (os.cpu_count() or 1)))
+_QUEUED = 1  # in the ready queue, a loop callback will pick it up
+_RUNNING = 2  # the loop is executing its step right now
 
 
 class ReactorTask:
@@ -97,20 +79,20 @@ class ReactorTask:
         self._cancelled = False
 
     def wake(self) -> None:
-        """Schedule a step as soon as a worker is free (coalescing)."""
+        """Schedule a step as soon as the loop is free (coalescing)."""
         self._reactor._wake(self)
 
     def schedule_at(self, when: float) -> None:
         """Adopt ``when`` (absolute clock time) as a deadline for this task.
 
-        Pushes a timer-heap entry without spinning up a worker -- the
-        cheap alternative to :meth:`wake` when nothing needs to run
-        *now* but the task's earliest deadline may have moved (e.g. a
-        queued write was merged into and inherited a new timeout).
-        Entries are never removed early: a stale earlier entry just
-        causes one spurious step that re-evaluates and re-schedules.
+        Pushes a timer-heap entry without queueing a step -- the cheap
+        alternative to :meth:`wake` when nothing needs to run *now* but
+        the task's earliest deadline may have moved (e.g. a queued write
+        was merged into and inherited a new timeout). Entries are never
+        removed early: a stale earlier entry just causes one spurious
+        step that re-evaluates and re-schedules.
         """
-        with self._reactor._cond:
+        with self._reactor._lock:
             if self._cancelled or self._reactor._stopped:
                 return
             self._reactor._schedule_at_locked(self, when)
@@ -121,10 +103,10 @@ class ReactorTask:
         Future wakes become no-ops and stale deadline-heap entries are
         ignored when they fire. A step already executing finishes (its
         own stop flag governs what it does), but no further step runs.
-        Unlike :meth:`wake`, cancelling never spins up reactor threads —
+        Unlike :meth:`wake`, cancelling never starts the loop thread —
         tearing down a task on a cold reactor stays thread-free.
         """
-        with self._reactor._cond:
+        with self._reactor._lock:
             self._cancelled = True
 
     def __repr__(self) -> str:
@@ -132,55 +114,41 @@ class ReactorTask:
 
 
 class Reactor:
-    """A bounded worker pool driving many serial tasks by deadline.
+    """One ``asyncio`` loop driving many serial tasks by deadline.
 
     One reactor per simulated device (see ``AndroidDevice.reactor``);
-    all of the device's tag references share its workers. Constructing a
-    reactor is cheap — no threads exist until the first task is woken.
+    all of the device's tag references, its transaction scheduler and
+    its lease keepers share the loop. Constructing a reactor is cheap —
+    the loop thread starts on the first wake (or :meth:`start`).
 
-    ``mode`` selects the backend: ``"threaded"`` (this class, the
-    default) or ``"asyncio"`` (:class:`AsyncioReactor` — the constructor
-    dispatches, so ``Reactor(mode="asyncio")`` *is* an
-    ``AsyncioReactor``). Both honour the full :class:`ReactorTask`
-    contract; everything built on tasks — references, the per-port
-    transaction scheduler, lease keepers — runs unchanged on either.
+    ``mode`` takes only ``"asyncio"``. It stays for the ``perfbench/``
+    scripts that pass ``mode="asyncio"`` and goes with that argument in
+    the next change to ``perfbench/``.
     """
-
-    def __new__(
-        cls,
-        clock: Optional[Clock] = None,
-        max_workers: Optional[int] = None,
-        name: str = "reactor",
-        mode: str = "threaded",
-    ) -> "Reactor":
-        if mode not in _REACTOR_MODES:
-            raise ValueError(
-                f"unknown reactor mode {mode!r}; expected one of {_REACTOR_MODES}"
-            )
-        if cls is Reactor and mode == "asyncio":
-            return super().__new__(AsyncioReactor)
-        return super().__new__(cls)
 
     def __init__(
         self,
         clock: Optional[Clock] = None,
-        max_workers: Optional[int] = None,
         name: str = "reactor",
-        mode: str = "threaded",
+        mode: str = "asyncio",
     ) -> None:
+        if mode != "asyncio":
+            raise ValueError(
+                f"unknown reactor mode {mode!r}; the only mode is 'asyncio'"
+            )
         self.name = name
-        self.mode = mode
         self._clock = clock if clock is not None else SystemClock()
-        self._max_workers = max(
-            1, max_workers if max_workers is not None else default_worker_count()
-        )
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._ready: Deque[ReactorTask] = deque()
         self._timers: List[Tuple[float, int, ReactorTask]] = []  # deadline heap
         self._seq = itertools.count()
-        self._workers: List[threading.Thread] = []
-        self._idle_workers = 0
-        self._timer_thread: Optional[threading.Thread] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._loop_thread: Optional[threading.Thread] = None
+        # Loop-thread-only: the single armed call_later (real clocks).
+        self._timer_handle: Optional[asyncio.TimerHandle] = None
+        # Guarded by _lock: deadline the heap is currently serviced up
+        # to; a schedule_at later than this needs no extra service pass.
+        self._timer_deadline: Optional[float] = None
         self._started = False
         self._stopped = False
         self._steps = 0
@@ -192,43 +160,37 @@ class Reactor:
     # -- introspection ---------------------------------------------------------
 
     @property
-    def max_workers(self) -> int:
-        return self._max_workers
-
-    @property
     def thread_count(self) -> int:
-        """Live reactor threads (workers + timer), for tests/benches."""
-        with self._cond:
-            count = sum(1 for worker in self._workers if worker.is_alive())
-            if self._timer_thread is not None and self._timer_thread.is_alive():
-                count += 1
-            return count
+        """Live reactor threads (0 or 1), for tests/benches."""
+        with self._lock:
+            thread = self._loop_thread
+            return 1 if thread is not None and thread.is_alive() else 0
 
     @property
     def steps_executed(self) -> int:
-        with self._cond:
+        with self._lock:
             return self._steps
 
     @property
     def owns_current_thread(self) -> bool:
-        """True when called from one of this reactor's workers or its
-        timer thread -- the affinity-sanitizer's middleware test."""
-        current = threading.current_thread()
-        with self._cond:
-            return current is self._timer_thread or any(
-                current is worker for worker in self._workers
-            )
+        """True when called from this reactor's loop thread -- the
+        affinity-sanitizer's middleware test."""
+        with self._lock:
+            return threading.current_thread() is self._loop_thread
 
     @property
     def is_stopped(self) -> bool:
-        with self._cond:
+        with self._lock:
             return self._stopped
 
+    @property
+    def loop(self) -> Optional[asyncio.AbstractEventLoop]:
+        """The backing event loop (``None`` until the loop starts)."""
+        with self._lock:
+            return self._loop
+
     def __repr__(self) -> str:
-        return (
-            f"Reactor({self.name!r}, workers={len(self._workers)}/"
-            f"{self._max_workers})"
-        )
+        return f"Reactor({self.name!r})"
 
     # -- task registration ------------------------------------------------------
 
@@ -238,204 +200,25 @@ class Reactor:
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def stop(self, join_timeout: float = 2.0) -> None:
-        """Stop workers and timer; queued tasks are dropped."""
-        with self._cond:
+    def start(self) -> asyncio.AbstractEventLoop:
+        """Start the loop thread now, if it is not running, and return
+        the loop. Waking a task starts it on demand; only code that
+        wants the loop itself (``repro.core.aio.run_on_reactor``)
+        needs this. Raises ``RuntimeError`` on a stopped reactor."""
+        with self._lock:
             if self._stopped:
-                return
-            self._stopped = True
-            self._ready.clear()
-            self._timers.clear()
-            self._cond.notify_all()
-            threads = list(self._workers)
-            if self._timer_thread is not None:
-                threads.append(self._timer_thread)
-        if self._clock_notifies and self._started:
-            self._clock.remove_listener(self._on_clock_advance)
-        current = threading.current_thread()
-        for thread in threads:
-            if thread is not current:
-                thread.join(join_timeout)
-
-    # -- internals: scheduling --------------------------------------------------
-
-    def _wake(self, task: ReactorTask) -> None:
-        with self._cond:
-            if self._stopped:
-                return
-            self._wake_locked(task)
-
-    def _wake_locked(self, task: ReactorTask) -> None:
-        if task._cancelled:
-            return
-        if task._state == _IDLE:
-            task._state = _QUEUED
-            self._ready.append(task)
+                raise RuntimeError(f"{self!r} is stopped")
             self._ensure_started_locked()
-            self._ensure_worker_locked()
-            self._cond.notify_all()
-        elif task._state == _RUNNING:
-            task._rerun = True
-        # _QUEUED: already scheduled, the wake coalesces.
-
-    def _schedule_at_locked(self, task: ReactorTask, when: float) -> None:
-        heapq.heappush(self._timers, (when, next(self._seq), task))
-        self._ensure_started_locked()
-        self._cond.notify_all()  # the timer thread re-evaluates its wait
-
-    def _ensure_started_locked(self) -> None:
-        if self._started or self._stopped:
-            return
-        self._started = True
-        if self._clock_notifies:
-            self._clock.add_listener(self._on_clock_advance)
-        self._timer_thread = threading.Thread(
-            target=self._timer_loop, name=f"{self.name}-timer", daemon=True
-        )
-        self._timer_thread.start()
-
-    def _ensure_worker_locked(self) -> None:
-        if self._idle_workers == 0 and len(self._workers) < self._max_workers:
-            worker = threading.Thread(
-                target=self._worker_loop,
-                name=f"{self.name}-worker-{len(self._workers)}",
-                daemon=True,
-            )
-            self._workers.append(worker)
-            worker.start()
-
-    def _on_clock_advance(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
-
-    # -- internals: the pool -----------------------------------------------------
-
-    def _worker_loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._ready and not self._stopped:
-                    self._idle_workers += 1
-                    self._cond.wait()
-                    self._idle_workers -= 1
-                if self._stopped:
-                    return
-                task = self._ready.popleft()
-                if task._cancelled:
-                    task._state = _IDLE
-                    continue
-                task._state = _RUNNING
-                task._rerun = False
-                self._steps += 1
-            try:
-                when = task._step()
-            except BaseException:  # noqa: BLE001 - a task must not kill the pool
-                traceback.print_exc()
-                when = None
-            with self._cond:
-                if self._stopped:
-                    return
-                task._state = _IDLE
-                if task._cancelled:
-                    continue
-                if task._rerun or (when is not None and when <= self._clock.now()):
-                    self._wake_locked(task)
-                elif when is not None:
-                    self._schedule_at_locked(task, when)
-
-    def _timer_loop(self) -> None:
-        while True:
-            with self._cond:
-                if self._stopped:
-                    return
-                now = self._clock.now()
-                while self._timers and self._timers[0][0] <= now:
-                    _due, _seq, task = heapq.heappop(self._timers)
-                    self._wake_locked(task)
-                if not self._timers:
-                    self._cond.wait()
-                elif self._clock_notifies:
-                    # A ManualClock advance (or a new earlier deadline)
-                    # notifies us; no real time needs to pass.
-                    self._cond.wait()
-                elif self._clock_is_realtime:
-                    self._cond.wait(max(self._timers[0][0] - now, 0.0))
-                else:
-                    self._cond.wait(_FALLBACK_POLL_SECONDS)
-
-
-class AsyncioReactor(Reactor):
-    """The coroutine backend: every task steps on one ``asyncio`` loop.
-
-    Selected with ``Reactor(mode="asyncio")``. The public surface is the
-    base class's — ``register`` hands out ordinary :class:`ReactorTask`
-    objects and ``wake`` / ``schedule_at`` / ``cancel`` behave
-    identically — but execution happens as plain callbacks on a single
-    event loop running on one daemon thread:
-
-    * a wake posts a ``call_soon`` that pops one ready task and runs its
-      step inline (steps are short, non-blocking quanta by contract —
-      the same contract the worker pool relies on); serial-per-task and
-      rerun-on-mid-step-wake come from the shared state machine;
-    * the deadline heap is serviced by **one** ``loop.call_later``
-      armed at the earliest deadline (real clock), by ``ManualClock``
-      advance notifications, or by a coarse poll for exotic clocks —
-      mirroring the threaded timer thread without owning a thread;
-    * an idle task costs nothing: no handle, no timer, no stack. This
-      is what lets one process hold 100k idle references
-      (``benchmarks/test_bench_async.py``).
-
-    The loop thread is the only thread the backend ever creates, so
-    ``thread_count`` is at most 1 regardless of task count.
-    """
-
-    def __init__(
-        self,
-        clock: Optional[Clock] = None,
-        max_workers: Optional[int] = None,
-        name: str = "reactor",
-        mode: str = "asyncio",
-    ) -> None:
-        super().__init__(clock, max_workers, name, mode="asyncio")
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._loop_thread: Optional[threading.Thread] = None
-        # Loop-thread-only: the single armed call_later (real clocks).
-        self._timer_handle: Optional[asyncio.TimerHandle] = None
-        # Guarded by _cond: deadline the heap is currently serviced up
-        # to; a schedule_at later than this needs no extra service pass.
-        self._timer_deadline: Optional[float] = None
-
-    # -- introspection -----------------------------------------------------------
-
-    @property
-    def thread_count(self) -> int:
-        with self._cond:
-            thread = self._loop_thread
-            return 1 if thread is not None and thread.is_alive() else 0
-
-    @property
-    def owns_current_thread(self) -> bool:
-        with self._cond:
-            return threading.current_thread() is self._loop_thread
-
-    def __repr__(self) -> str:
-        return f"AsyncioReactor({self.name!r})"
-
-    @property
-    def loop(self) -> Optional[asyncio.AbstractEventLoop]:
-        """The backing event loop (``None`` until the first wake)."""
-        with self._cond:
             return self._loop
 
-    # -- lifecycle ----------------------------------------------------------------
-
     def stop(self, join_timeout: float = 2.0) -> None:
-        with self._cond:
+        """Stop the loop; queued tasks are dropped."""
+        with self._lock:
             if self._stopped:
                 return
             self._stopped = True
             self._ready.clear()
             self._timers.clear()
-            self._cond.notify_all()
             loop = self._loop
             thread = self._loop_thread
         if self._clock_notifies and self._started:
@@ -449,6 +232,12 @@ class AsyncioReactor(Reactor):
                 thread.join(join_timeout)
 
     # -- internals: scheduling ----------------------------------------------------
+
+    def _wake(self, task: ReactorTask) -> None:
+        with self._lock:
+            if self._stopped:
+                return
+            self._wake_locked(task)
 
     def _ensure_started_locked(self) -> None:
         if self._started or self._stopped:
@@ -513,7 +302,7 @@ class AsyncioReactor(Reactor):
         letting loop timers and user coroutines interleave between
         steps.
         """
-        with self._cond:
+        with self._lock:
             if self._stopped or not self._ready:
                 return
             task = self._ready.popleft()
@@ -528,7 +317,7 @@ class AsyncioReactor(Reactor):
         except BaseException:  # noqa: BLE001 - a task must not kill the loop
             traceback.print_exc()
             when = None
-        with self._cond:
+        with self._lock:
             if self._stopped:
                 return
             task._state = _IDLE
@@ -541,7 +330,7 @@ class AsyncioReactor(Reactor):
 
     def _service_timers(self) -> None:
         """Fire due deadlines, re-arm the single timer (loop thread only)."""
-        with self._cond:
+        with self._lock:
             if self._stopped:
                 return
             now = self._clock.now()
@@ -562,98 +351,3 @@ class AsyncioReactor(Reactor):
         else:
             delay = _FALLBACK_POLL_SECONDS
         self._timer_handle = self._loop.call_later(delay, self._service_timers)
-
-
-class PortReadyQueue:
-    """Per-port ready-queue of keys (tags) with runnable batched work.
-
-    The per-port transaction scheduler (:mod:`repro.radio.txscheduler`)
-    runs as **one** serial :class:`ReactorTask`; this queue is how many
-    concurrent producers (references enqueueing work, field events) hand
-    that single task the set of tags worth draining, so the reactor can
-    give a whole per-port batch to one worker instead of one wakeup per
-    operation.
-
-    Marks coalesce (a tag is ready once, however many operations piled
-    up) and are **generation-counted**: :meth:`snapshot` returns each
-    key with the generation observed, and :meth:`clear` only removes the
-    key if no :meth:`mark` landed in between. That closes the race where
-    a drain finds a tag idle, a reference enqueues concurrently, and a
-    plain clear would eat the fresh mark — the wake that follows the
-    mark would then find an empty queue and the work would sleep until
-    its timeout. Insertion order is preserved, so tags are drained in
-    the order they became ready.
-
-    For the fair cross-tag policies the queue additionally hands out
-    **bounded per-tag quanta instead of whole-port batches**: a rotated
-    :meth:`snapshot` starts each service round one key past the previous
-    round's head, so no tag is structurally first every round, and
-    :meth:`has_other` lets a drain loop ask mid-quantum whether any
-    co-present tag is waiting (if none is, the quantum is renewed in
-    place and the open session survives — fairness never taxes a tag
-    that is alone in the field).
-    """
-
-    __slots__ = ("_lock", "_generations", "_cursor")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._generations: Dict[Hashable, int] = {}
-        self._cursor: Optional[Hashable] = None  # next round starts here
-
-    def mark(self, key: Hashable) -> None:
-        """Flag ``key`` as having runnable work (coalescing)."""
-        with self._lock:
-            self._generations[key] = self._generations.get(key, 0) + 1
-
-    def snapshot(self, rotate: bool = False) -> List[Tuple[Hashable, int]]:
-        """The marked keys in ready order, each with its generation.
-
-        With ``rotate=True`` the list starts at the rotation cursor
-        (round-robin across calls): successive rotated snapshots begin
-        one key later, so repeated service rounds do not always grant
-        first service to the same key. A vanished cursor key simply
-        falls back to insertion order.
-        """
-        with self._lock:
-            items = list(self._generations.items())
-            if rotate and items:
-                if len(items) > 1 and self._cursor in self._generations:
-                    keys = [key for key, _ in items]
-                    start = keys.index(self._cursor)
-                    items = items[start:] + items[:start]
-                self._cursor = items[1][0] if len(items) > 1 else items[0][0]
-            return items
-
-    def has_other(self, key: Hashable) -> bool:
-        """Whether any key besides ``key`` is currently marked."""
-        with self._lock:
-            for marked in self._generations:
-                if marked != key:
-                    return True
-            return False
-
-    def clear(self, key: Hashable, generation: int) -> bool:
-        """Unmark ``key`` unless it was re-marked since the snapshot.
-
-        Returns whether the key was removed; ``False`` means a producer
-        marked it again and the caller should drain it once more.
-        """
-        with self._lock:
-            if self._generations.get(key) == generation:
-                del self._generations[key]
-                return True
-            return False
-
-    def discard(self, key: Hashable) -> None:
-        """Unconditionally unmark ``key`` (tag left the field)."""
-        with self._lock:
-            self._generations.pop(key, None)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._generations)
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._generations

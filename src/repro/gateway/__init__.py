@@ -2,7 +2,7 @@
 
 Devices push tag scan/save/lease events through a batching, coalescing,
 bounded :class:`GatewayReporter`; N hash-sharded ingestion queues drain
-them on the reactor (threaded or asyncio backend) and maintain
+them on the reactor's loop and maintain
 materialized fleet views — per-tag travel history, per-station
 throughput windows, and a lease-contention leaderboard — whose global
 snapshot is a lock-light merge of per-shard state. See

@@ -3,8 +3,8 @@
 Devices (or their :class:`~repro.gateway.reporter.GatewayReporter`)
 push :class:`~repro.gateway.events.ScanEvent` records in; N ingestion
 shards — each a serial drain task on the supplied
-:class:`~repro.core.scheduler.Reactor`, threaded or asyncio backend
-alike — pull them out in batches and maintain the materialized views.
+:class:`~repro.core.scheduler.Reactor` — pull them out in batches and
+maintain the materialized views.
 The gateway object itself holds no per-event state: ``submit`` is a
 stable hash plus a shard enqueue, and a global snapshot is a *merge* of
 per-shard reads (station rates sum each shard's additive per-station
@@ -12,8 +12,8 @@ counts, :class:`LatencySummary` samples merge exactly), never a
 stop-the-world scan.
 
 Determinism: with a :class:`~repro.clock.ManualClock` nothing here
-sleeps — shard drains are triggered by wakes (which both reactor
-backends service without time passing) and :meth:`drain` is a condition
+sleeps — shard drains are triggered by wakes (which the reactor
+services without time passing) and :meth:`drain` is a condition
 barrier, so tests advance virtual time only when they want flush
 *intervals* to elapse.
 """

@@ -17,7 +17,7 @@ Hot-path discipline:
   quantum: it swaps out at most ``max_batch`` events under the queue
   lock, applies them to the views under the views lock, and returns an
   immediate deadline while a backlog remains — so one shard never
-  monopolizes a reactor worker for longer than a batch.
+  monopolizes the reactor loop for longer than a batch.
 * view maintenance costs O(batch), not O(stations): expiry trims only
   the windows the batch touched (a late event is trimmed in its own
   batch), and sweeps every window only when the bucket horizon has

@@ -63,11 +63,19 @@ class Scenario:
         name: str,
         link: Optional[object] = None,
         tx_policy: Optional[object] = None,
-        reactor_mode: str = "threaded",
+        reactor_mode: str = "asyncio",
     ) -> AndroidDevice:
-        phone = AndroidDevice(
-            name, self.env, link=link, tx_policy=tx_policy, reactor_mode=reactor_mode
-        )
+        """A phone named ``name`` in this scenario's environment.
+
+        ``reactor_mode`` takes only ``"asyncio"``, the one reactor. It
+        stays for ``perfbench/crowd_backlog.py``, which passes it, and
+        goes with that argument in the next change to ``perfbench/``.
+        """
+        if reactor_mode != "asyncio":
+            raise ValueError(
+                f"unknown reactor mode {reactor_mode!r}; the only mode is 'asyncio'"
+            )
+        phone = AndroidDevice(name, self.env, link=link, tx_policy=tx_policy)
         self.phones[name] = phone
         return phone
 
@@ -77,16 +85,10 @@ class Scenario:
         prefix: str = "phone",
         link: Optional[object] = None,
         tx_policy: Optional[object] = None,
-        reactor_mode: str = "threaded",
     ) -> List[AndroidDevice]:
         """``count`` phones named ``{prefix}-0000`` ... (crowd scenarios)."""
         return [
-            self.add_phone(
-                f"{prefix}-{index:04d}",
-                link=link,
-                tx_policy=tx_policy,
-                reactor_mode=reactor_mode,
-            )
+            self.add_phone(f"{prefix}-{index:04d}", link=link, tx_policy=tx_policy)
             for index in range(count)
         ]
 

@@ -3,8 +3,8 @@
 The protocol itself — guarded reads, renewal merging, drift bounds —
 lives entirely in :class:`~repro.leasing.manager.LeaseManager` and is
 untouched here; these functions only change the completion style, the
-same way :mod:`repro.core.aio` wraps tag operations. They work under
-either reactor backend and from any event loop.
+same way :mod:`repro.core.aio` wraps tag operations. They work from
+the reactor's loop and from any other event loop.
 
 ::
 

@@ -50,7 +50,7 @@ MAX_PAYLOAD_LENGTH = 0xFFFFFFFF
 class EncodeStats:
     """Process-wide encode-cache telemetry for records and messages.
 
-    Bumped from every thread that encodes (reactor workers, beamer and
+    Bumped from every thread that encodes (reactor loops, beamer and
     looper threads, benches), so the counters are guarded by a lock --
     ``hit()``/``miss()`` are the increments, ``hits``/``misses`` and
     ``snapshot()`` the consistent reads.

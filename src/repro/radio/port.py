@@ -59,6 +59,9 @@ class NfcAdapterPort:
         self._timing = timing
         self.corrupt_on_tear = corrupt_on_tear
         self._listeners: List[Callable[[FieldEvent], None]] = []
+        # Listeners taking each dispatch's events as one list, ahead of
+        # the per-event ones (see add_field_batch_listener).
+        self._batch_listeners: List[Callable[[List[FieldEvent]], None]] = []
         # Listeners interested in exactly one tag, keyed by tag identity;
         # tag references register here so a field event touches only the
         # listeners of the tag it concerns (O(1) fan-out, not O(refs)).
@@ -113,6 +116,26 @@ class NfcAdapterPort:
             if listener in self._listeners:
                 self._listeners.remove(listener)
 
+    def add_field_batch_listener(
+        self, listener: Callable[[List[FieldEvent]], None]
+    ) -> None:
+        """Observe field events one dispatch at a time, as a list.
+
+        Batch listeners run before the per-event listeners of the same
+        dispatch, so a bulk field entry reaches them as one cohort: the
+        transaction scheduler marks every entering tag ready before it
+        wakes its drain.
+        """
+        with self._lock:
+            self._batch_listeners.append(listener)
+
+    def remove_field_batch_listener(
+        self, listener: Callable[[List[FieldEvent]], None]
+    ) -> None:
+        with self._lock:
+            if listener in self._batch_listeners:
+                self._batch_listeners.remove(listener)
+
     def snapshot_listeners(self) -> List[Callable[[FieldEvent], None]]:
         with self._lock:
             return list(self._listeners)
@@ -144,10 +167,13 @@ class NfcAdapterPort:
         are trivial (they post to loopers or wake reactor tasks)."""
         with self._lock:
             self.field_events_dispatched += 1
+            batch_targets = list(self._batch_listeners)
             targets = list(self._listeners)
             tag = getattr(event, "tag", None)
             if tag is not None and tag in self._tag_listeners:
                 targets.extend(self._tag_listeners[tag])
+        for listener in batch_targets:
+            listener([event])
         for listener in targets:
             listener(event)
 
@@ -164,6 +190,7 @@ class NfcAdapterPort:
             return
         with self._lock:
             self.field_events_dispatched += len(events)
+            batch_targets = list(self._batch_listeners)
             generic = list(self._listeners)
             routed = []
             for event in events:
@@ -172,6 +199,8 @@ class NfcAdapterPort:
                 if tag is not None and tag in self._tag_listeners:
                     targets.extend(self._tag_listeners[tag])
                 routed.append((event, targets))
+        for listener in batch_targets:
+            listener(events)
         for event, targets in routed:
             for listener in targets:
                 listener(event)

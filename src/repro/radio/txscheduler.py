@@ -1,7 +1,7 @@
 """The per-port radio transaction scheduler: batch round-trips per tap.
 
-The reactor (PR 1) multiplexes thousands of reference event loops onto a
-bounded pool, and coalescing (PR 2/4) removes redundant writes *within*
+The reactor (PR 1) multiplexes thousands of reference event loops onto
+one loop, and coalescing (PR 2/4) removes redundant writes *within*
 one reference. What neither touches is the physical cost structure: every
 operation still pays the full per-round-trip overhead — field activation,
 anticollision, select — because references issue ``port.read_ndef`` /
@@ -17,10 +17,11 @@ application code and the reference API never see it):
   ``AndroidDevice.tx_scheduler``); every tag reference registers itself
   keyed by its simulated tag, and all of its radio work runs here;
 * references and field events mark tags runnable on a
-  :class:`~repro.core.scheduler.PortReadyQueue`; the scheduler runs as a
-  **single serial reactor task per port**, so the reactor hands a whole
-  per-port batch to one worker — which also matches the physics (one
-  radio, one transaction at a time);
+  :class:`PortReadyQueue` (a bulk field entry marks its whole cohort
+  before the drain wakes); the scheduler runs as a **single serial
+  reactor task per port**, so one step serves a whole per-port batch —
+  which also matches the physics (one radio, one transaction at a
+  time);
 * on each tap window the scheduler serves the ready in-field tags
   through :class:`~repro.radio.port.TagSession` windows: one
   connect/anticollision cost per (tag, visit), per-operation data
@@ -74,19 +75,17 @@ tear, so the next attempt pays a fresh connect. A tear mid-quantum is a
 per-tag event: only that tag's partial batch settles, co-present tags'
 queues are untouched.
 
-Reactor-backend neutrality: the scheduler is one serial
-:class:`~repro.core.scheduler.ReactorTask` per port and speaks only the
-task contract (``wake`` / ``schedule_at``), so it runs unchanged on
-either backend — a worker thread under ``Reactor(mode="threaded")``, a
-callback chain on the loop under ``Reactor(mode="asyncio")`` (DESIGN.md
+The scheduler is one serial :class:`~repro.core.scheduler.ReactorTask`
+per port and speaks only the task contract (``wake`` / ``schedule_at``):
+its steps are a callback chain on the device reactor's loop (DESIGN.md
 decision 14). Serial-per-task is the only concurrency property the
-drain loop relies on, and both backends guarantee it.
+drain loop relies on.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, TYPE_CHECKING, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Optional, TYPE_CHECKING, Tuple, Union
 
 from repro.errors import MorenaError, NotInFieldError, TagLostError
 from repro.core.operations import Operation, OperationKind
@@ -97,11 +96,11 @@ from repro.tags.tag import SimulatedTag
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.clock import Clock
     from repro.core.reference import TagReference
-    from repro.core.scheduler import PortReadyQueue, Reactor
+    from repro.core.scheduler import Reactor
     from repro.radio.port import NfcAdapterPort
 
 # One drain visit processes at most this many operations before
-# yielding its reactor worker, whatever the policy granted.
+# yielding the reactor loop, whatever the policy granted.
 _DRAIN_BURST_OPS = 128
 
 # Backoff after a connect/anticollision tear (the tag is flapping at the
@@ -250,6 +249,109 @@ def make_policy(spec: PolicySpec) -> CrossTagPolicy:
         ) from None
 
 
+# -- the ready queue -----------------------------------------------------------------
+
+
+class PortReadyQueue:
+    """Per-port ready-queue of keys (tags) with runnable batched work.
+
+    The per-port transaction scheduler runs as **one** serial
+    :class:`~repro.core.scheduler.ReactorTask`; this queue is how many
+    concurrent producers (references enqueueing work, field events) hand
+    that single task the set of tags worth draining, so one step serves
+    a whole per-port batch instead of one wakeup per operation.
+
+    Marks coalesce (a tag is ready once, however many operations piled
+    up) and are **generation-counted**: :meth:`snapshot` returns each
+    key with the generation observed, and :meth:`clear` only removes the
+    key if no :meth:`mark` landed in between. That closes the race where
+    a drain finds a tag idle, a reference enqueues concurrently, and a
+    plain clear would eat the fresh mark — the wake that follows the
+    mark would then find an empty queue and the work would sleep until
+    its timeout. Insertion order is preserved, so tags are drained in
+    the order they became ready.
+
+    For the fair cross-tag policies the queue additionally hands out
+    **bounded per-tag quanta instead of whole-port batches**: a rotated
+    :meth:`snapshot` starts each service round one key past the previous
+    round's head, so no tag is structurally first every round, and
+    :meth:`has_other` lets a drain loop ask mid-quantum whether any
+    co-present tag is waiting (if none is, the quantum is renewed in
+    place and the open session survives — fairness never taxes a tag
+    that is alone in the field).
+    """
+
+    __slots__ = ("_lock", "_generations", "_cursor")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._generations: Dict[Hashable, int] = {}
+        self._cursor: Optional[Hashable] = None  # next round starts here
+
+    def mark(self, key: Hashable) -> None:
+        """Flag ``key`` as having runnable work (coalescing)."""
+        with self._lock:
+            self._generations[key] = self._generations.get(key, 0) + 1
+
+    def mark_many(self, keys: Iterable[Hashable]) -> None:
+        """Flag every key at once: a snapshot sees all of them or none."""
+        with self._lock:
+            for key in keys:
+                self._generations[key] = self._generations.get(key, 0) + 1
+
+    def snapshot(self, rotate: bool = False) -> List[Tuple[Hashable, int]]:
+        """The marked keys in ready order, each with its generation.
+
+        With ``rotate=True`` the list starts at the rotation cursor
+        (round-robin across calls): successive rotated snapshots begin
+        one key later, so repeated service rounds do not always grant
+        first service to the same key. A vanished cursor key simply
+        falls back to insertion order.
+        """
+        with self._lock:
+            items = list(self._generations.items())
+            if rotate and items:
+                if len(items) > 1 and self._cursor in self._generations:
+                    keys = [key for key, _ in items]
+                    start = keys.index(self._cursor)
+                    items = items[start:] + items[:start]
+                self._cursor = items[1][0] if len(items) > 1 else items[0][0]
+            return items
+
+    def has_other(self, key: Hashable) -> bool:
+        """Whether any key besides ``key`` is currently marked."""
+        with self._lock:
+            for marked in self._generations:
+                if marked != key:
+                    return True
+            return False
+
+    def clear(self, key: Hashable, generation: int) -> bool:
+        """Unmark ``key`` unless it was re-marked since the snapshot.
+
+        Returns whether the key was removed; ``False`` means a producer
+        marked it again and the caller should drain it once more.
+        """
+        with self._lock:
+            if self._generations.get(key) == generation:
+                del self._generations[key]
+                return True
+            return False
+
+    def discard(self, key: Hashable) -> None:
+        """Unconditionally unmark ``key`` (tag left the field)."""
+        with self._lock:
+            self._generations.pop(key, None)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._generations)
+
+    def __contains__(self, key: Hashable) -> bool:
+        with self._lock:
+            return key in self._generations
+
+
 # -- per-tag service telemetry -------------------------------------------------------
 
 
@@ -308,16 +410,11 @@ class PortTransactionScheduler:
         clock: "Clock",
         policy: PolicySpec = None,
     ) -> None:
-        # Deferred import: repro.core reaches back into repro.radio at
-        # package-init time, so importing the scheduler module here at
-        # module scope would close an import cycle.
-        from repro.core.scheduler import PortReadyQueue
-
         self._port = port
         self._clock = clock
         self._lock = threading.Lock()
         self._references: Dict[SimulatedTag, List["TagReference"]] = {}
-        self._ready: "PortReadyQueue" = PortReadyQueue()
+        self._ready = PortReadyQueue()
         self._closed = False
         self._policy = make_policy(policy)
         # Statistics, exposed for tests and benchmarks. The scalar
@@ -333,7 +430,7 @@ class PortTransactionScheduler:
         self._retired = TagServiceStats()  # folded stats of departed tags
         self._retired_tags = 0
         self._task = reactor.register(self._step, name=f"txsched-{port.name}")
-        port.add_field_listener(self._on_field_event)
+        port.add_field_batch_listener(self._on_field_events)
 
     def __repr__(self) -> str:
         with self._lock:
@@ -390,7 +487,7 @@ class PortTransactionScheduler:
             if stats is not None:
                 self._retire_locked(stats)
         # Last co-located reference gone: discard the tag's ready mark
-        # so a stale runnable key cannot wake workers for empty batches,
+        # so a stale runnable key cannot wake the drain for empty batches,
         # and drop any accumulated deficit.
         self._ready.discard(tag)
         self._policy.reset(tag)
@@ -457,21 +554,27 @@ class PortTransactionScheduler:
         self._ready.mark(tag)
         self._task.wake()
 
-    def _on_field_event(self, event: FieldEvent) -> None:
-        tag = getattr(event, "tag", None)
-        if tag is None:
+    def _on_field_events(self, events: List[FieldEvent]) -> None:
+        entered = []
+        for event in events:
+            if isinstance(event, TagEntered):
+                entered.append(event.tag)
+            elif isinstance(event, TagLeft):
+                # Absent tags drain nothing; drop the mark (TagEntered
+                # re-marks) so the ready set tracks the field.
+                self._ready.discard(event.tag)
+        with self._lock:
+            if self._closed:
+                return
+            entered = [tag for tag in entered if tag in self._references]
+        if not entered:
             return
-        if isinstance(event, TagEntered):
-            with self._lock:
-                interested = not self._closed and tag in self._references
-            if interested:
-                self._note_ready(tag)
-                self._ready.mark(tag)
-                self._task.wake()
-        elif isinstance(event, TagLeft):
-            # Absent tags drain nothing; drop the mark (TagEntered
-            # re-marks) so the ready set tracks the field.
-            self._ready.discard(tag)
+        for tag in entered:
+            self._note_ready(tag)
+        # The whole cohort is marked before the drain wakes, so its first
+        # round serves every entering tag once.
+        self._ready.mark_many(entered)
+        self._task.wake()
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -481,7 +584,7 @@ class PortTransactionScheduler:
             if self._closed:
                 return
             self._closed = True
-        self._port.remove_field_listener(self._on_field_event)
+        self._port.remove_field_batch_listener(self._on_field_events)
         self._task.cancel()
 
     # -- the drain ----------------------------------------------------------------
@@ -624,8 +727,8 @@ class PortTransactionScheduler:
             if session is not None:
                 session.close()
             self._account(tag, served_ops, served_bytes, depth_seen, has_pending)
-        # Burst cap hit with work still flowing: yield the worker and
-        # resume immediately so one hot tag cannot hog the pool.
+        # Burst cap hit with work still flowing: yield the loop and
+        # resume immediately so one hot tag cannot hog it.
         return self._clock.now(), True
 
     def _account(

@@ -1,7 +1,7 @@
 """The runtime thread-affinity sanitizer: seeded violations and clean runs.
 
 The seeded cases use the *real* middleware machinery -- a step executed
-on a reactor worker, a listener forced off its looper -- so the tests
+on the reactor's loop, a listener forced off its looper -- so the tests
 exercise the same code paths a buggy application or middleware
 regression would.
 """
@@ -78,7 +78,7 @@ def bound_crate(scenario):
 
 
 def _run_on_reactor(app, fn):
-    """Execute ``fn`` on one of the device's real reactor workers."""
+    """Execute ``fn`` on the device's real reactor loop thread."""
     done = threading.Event()
 
     def step():
@@ -104,7 +104,7 @@ class TestOffLooperMutation:
         violation = next(v for v in fresh if v.kind == "off-looper-mutation")
         assert violation.subject == "Crate.label"
         assert violation.owner == app.device.main_looper.name
-        assert "-worker-" in violation.thread_name
+        assert violation.thread_name.endswith("-aioloop")
         # Record-only mode still applies the write.
         assert crate.label == "tampered"
 
@@ -233,29 +233,28 @@ class TestEventLoopAffinity:
         assert san.violations[before:] == []
 
     def test_asyncio_loop_thread_registers_as_middleware(self, san, scenario):
-        phone = scenario.add_phone("san-aio", reactor_mode="asyncio")
+        phone = scenario.add_phone("san-aio")
         app = scenario.start(phone, CrateActivity)
         seen = []
         _run_on_reactor(app, lambda: seen.append(san.is_middleware_thread()))
         assert seen == [True]
 
-    def test_catches_asyncio_step_mutating_bound_thing(self, san, scenario):
-        phone = scenario.add_phone("san-aio-mut", reactor_mode="asyncio")
-        app = scenario.start(phone, CrateActivity)
-        tag = make_tag()
-        scenario.put(tag, phone)
-        assert app.empties.wait_for_count(1)
-        crate = Crate(app, label="sealed")
-        saved = EventLog()
-        app.empties.snapshot()[0].initialize(
-            crate,
-            on_saved=lambda t: saved.append(t),
-            on_save_failed=lambda: saved.append(None),
-        )
-        assert saved.wait_for_count(1)
-        assert saved.snapshot()[0] is not None
+    def test_catches_asyncio_step_mutating_bound_thing(self, san, bound_crate):
+        """A plain callback posted to the reactor's loop -- not a task
+        step -- is middleware too: the whole loop thread is covered."""
+        app, crate = bound_crate
+        loop = app.device.reactor.start()
+        done = threading.Event()
+
+        def tamper():
+            try:
+                crate.label = "tampered"
+            finally:
+                done.set()
+
         before = len(san.violations)
-        _run_on_reactor(app, lambda: setattr(crate, "label", "tampered"))
+        loop.call_soon_threadsafe(tamper)
+        assert done.wait(5)
         fresh = san.violations[before:]
         violation = next(
             v for v in fresh if v.kind == "off-looper-mutation"

@@ -1,10 +1,10 @@
 """The await-native surface: ``ref.aio`` / ``thing.aio`` / streams.
 
-These adapters must behave identically over both reactor backends — the
-coroutine face is a completion style, not a scheduling mode — so the
-reference-level tests run once per backend. The awaiting loop here is
-the test's own (``asyncio.run``); cross-loop delivery is exercised
-implicitly because listeners settle on the device's main looper thread.
+The coroutine face is a completion style, not a scheduling mode: the
+adapters enqueue the same operations as the listener API. The awaiting
+loop here is the test's own (``asyncio.run``), not the reactor's;
+cross-loop delivery is exercised implicitly because listeners settle
+on the device's main looper thread.
 """
 
 import asyncio
@@ -15,7 +15,7 @@ import pytest
 from repro.core.aio import AsyncTagReference, run_on_reactor, tag_stream
 from repro.core.discovery import TagDiscoverer
 from repro.core.futures import OperationTimeoutError, read_future
-from repro.core.scheduler import AsyncioReactor
+from repro.core.scheduler import Reactor
 from repro.leasing.aio import LeaseDeniedError, acquire, release, renew
 from repro.leasing.manager import LeaseManager
 from repro.things.thing import Thing
@@ -28,18 +28,9 @@ from tests.conftest import (
     text_tag,
 )
 
-BACKENDS = ("threaded", "asyncio")
-
-
-def _phone_and_activity(scenario, mode):
-    phone = scenario.add_phone(f"{mode}-phone", reactor_mode=mode)
-    activity = scenario.start(phone, PlainNfcActivity)
-    return phone, activity
-
 
 class TestAwaitableFuture:
-    def test_await_settled_and_pending_futures(self, scenario):
-        phone, activity = _phone_and_activity(scenario, "threaded")
+    def test_await_settled_and_pending_futures(self, scenario, phone, activity):
         tag = text_tag("hello")
         scenario.put(tag, phone)
         reference = make_reference(activity, tag, phone)
@@ -54,8 +45,7 @@ class TestAwaitableFuture:
         assert value == "hello"
         assert again == "hello"
 
-    def test_await_raises_what_result_would(self, scenario):
-        phone, activity = _phone_and_activity(scenario, "threaded")
+    def test_await_raises_what_result_would(self, scenario, phone, activity):
         reference = make_reference(activity, text_tag("away"), phone)
 
         async def scenario_run():
@@ -65,10 +55,8 @@ class TestAwaitableFuture:
             asyncio.run(scenario_run())
 
 
-@pytest.mark.parametrize("mode", BACKENDS)
 class TestAsyncTagReference:
-    def test_read_write_roundtrip(self, scenario, mode):
-        phone, activity = _phone_and_activity(scenario, mode)
+    def test_read_write_roundtrip(self, scenario, phone, activity):
         tag = text_tag("start")
         scenario.put(tag, phone)
         reference = make_reference(activity, tag, phone)
@@ -84,8 +72,7 @@ class TestAsyncTagReference:
         assert after == "updated"
         assert tag.read_ndef()[0].payload == b"updated"
 
-    def test_format_then_write_on_blank_tag(self, scenario, mode):
-        phone, activity = _phone_and_activity(scenario, mode)
+    def test_format_then_write_on_blank_tag(self, scenario, phone, activity):
         tag = scenario.add_tag(formatted=False)
         scenario.put(tag, phone)
         reference = make_reference(activity, tag, phone)
@@ -97,8 +84,7 @@ class TestAsyncTagReference:
 
         assert asyncio.run(scenario_run()) == "fresh"
 
-    def test_raw_roundtrip_and_concurrent_awaits(self, scenario, mode):
-        phone, activity = _phone_and_activity(scenario, mode)
+    def test_raw_roundtrip_and_concurrent_awaits(self, scenario, phone, activity):
         tags = [text_tag(f"v{index}") for index in range(5)]
         for tag in tags:
             scenario.put(tag, phone)
@@ -127,13 +113,12 @@ class _BadgeActivity(PlainNfcActivity):
     pass
 
 
-@pytest.mark.parametrize("mode", BACKENDS)
 class TestAsyncThing:
-    def _bound_badge(self, scenario, mode):
+    def _bound_badge(self, scenario):
         from repro.core.converters import JsonToObjectConverter, ObjectToJsonConverter
         from repro.tags.factory import make_tag
 
-        phone = scenario.add_phone(f"{mode}-phone", reactor_mode=mode)
+        phone = scenario.add_phone("badge-phone")
         activity = scenario.start(phone, _BadgeActivity)
         read_conv = JsonToObjectConverter(_Badge)
         write_conv = ObjectToJsonConverter(TEXT_TYPE)
@@ -147,8 +132,8 @@ class TestAsyncThing:
         badge._bind(reference, activity)  # noqa: SLF001 - test harness binding
         return tag, badge
 
-    def test_save_and_refresh(self, scenario, mode):
-        tag, badge = self._bound_badge(scenario, mode)
+    def test_save_and_refresh(self, scenario):
+        tag, badge = self._bound_badge(scenario)
 
         async def scenario_run():
             badge.level = 4
@@ -162,8 +147,7 @@ class TestAsyncThing:
 
 
 class TestTagStream:
-    def test_async_for_over_detections(self, scenario):
-        phone, activity = _phone_and_activity(scenario, "threaded")
+    def test_async_for_over_detections(self, scenario, phone, activity):
         discoverer = TagDiscoverer(activity, TEXT_TYPE, *string_converters())
         tags = [text_tag(f"s{index}") for index in range(3)]
 
@@ -180,8 +164,7 @@ class TestTagStream:
 
         assert sorted(asyncio.run(scenario_run())) == ["s0", "s1", "s2"]
 
-    def test_event_filter_and_close_ends_iteration(self, scenario):
-        phone, activity = _phone_and_activity(scenario, "threaded")
+    def test_event_filter_and_close_ends_iteration(self, scenario, phone, activity):
         discoverer = TagDiscoverer(activity, TEXT_TYPE, *string_converters())
         tag = text_tag("twice")
 
@@ -200,8 +183,7 @@ class TestTagStream:
         assert asyncio.run(scenario_run()) == ["twice"]
         assert discoverer._detection_listeners == []  # noqa: SLF001 - unsubscribed
 
-    def test_bounded_buffer_sheds_oldest(self, scenario):
-        phone, activity = _phone_and_activity(scenario, "threaded")
+    def test_bounded_buffer_sheds_oldest(self, scenario, phone, activity):
         discoverer = TagDiscoverer(activity, TEXT_TYPE, *string_converters())
 
         async def scenario_run():
@@ -218,14 +200,12 @@ class TestTagStream:
         assert dropped == 3
 
 
-@pytest.mark.parametrize("mode", BACKENDS)
 class TestLeasingAio:
-    def test_acquire_renew_release(self, scenario, mode):
-        phone, activity = _phone_and_activity(scenario, mode)
+    def test_acquire_renew_release(self, scenario, phone, activity):
         tag = text_tag("asset")
         scenario.put(tag, phone)
         reference = make_reference(activity, tag, phone)
-        manager = LeaseManager(reference, f"{mode}-phone", drift_bound=0.0)
+        manager = LeaseManager(reference, phone.name, drift_bound=0.0)
 
         async def scenario_run():
             lease = await acquire(manager, duration=30.0)
@@ -234,12 +214,11 @@ class TestLeasingAio:
             return lease, extended
 
         lease, extended = asyncio.run(scenario_run())
-        assert lease.device_id == f"{mode}-phone"
+        assert lease.device_id == phone.name
         assert extended.expires_at > lease.expires_at
         assert manager.held_lease is None
 
-    def test_denied_acquire_raises(self, scenario, mode):
-        phone, activity = _phone_and_activity(scenario, mode)
+    def test_denied_acquire_raises(self, scenario, phone, activity):
         rival_phone = scenario.add_phone("rival")
         rival_activity = scenario.start(rival_phone, PlainNfcActivity)
         tag = text_tag("contested")
@@ -264,29 +243,34 @@ class TestLeasingAio:
 
 
 class TestRunOnReactor:
-    def test_coroutine_runs_on_the_reactor_loop(self, scenario):
-        phone, activity = _phone_and_activity(scenario, "asyncio")
+    def test_coroutine_runs_on_the_reactor_loop(self, scenario, phone, activity):
         tag = text_tag("onloop")
         scenario.put(tag, phone)
         reference = make_reference(activity, tag, phone)
         reactor = phone.reactor
-        assert isinstance(reactor, AsyncioReactor)
 
         async def on_loop():
             value = await reference.aio.read()
             await reference.aio.write(value + "!")
-            return await reference.aio.read()
+            return await reference.aio.read(), asyncio.get_running_loop()
 
         handle = run_on_reactor(reactor, on_loop())
-        assert handle.result(timeout=10) == "onloop!"
+        value, loop = handle.result(timeout=10)
+        assert value == "onloop!"
+        assert loop is reactor.loop
 
-    def test_threaded_reactor_is_rejected(self, scenario):
-        phone, _activity = _phone_and_activity(scenario, "threaded")
+    def test_cold_reactor_starts_and_stopped_reactor_is_rejected(self):
+        reactor = Reactor(name="cold")
 
-        async def nothing():
-            return None
+        async def answer():
+            return 42
 
-        coroutine = nothing()
-        with pytest.raises(TypeError, match="mode='asyncio'"):
-            run_on_reactor(phone.reactor, coroutine)
+        try:
+            assert reactor.loop is None
+            assert run_on_reactor(reactor, answer()).result(timeout=5) == 42
+        finally:
+            reactor.stop()
+        coroutine = answer()
+        with pytest.raises(RuntimeError, match="stopped"):
+            run_on_reactor(reactor, coroutine)
         coroutine.close()

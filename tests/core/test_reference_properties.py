@@ -1,10 +1,5 @@
-"""Property-based tests of the tag-reference queue semantics.
+"""Property-based tests of the tag-reference queue semantics."""
 
-The paper guarantees (per-reference FIFO, newest write lands, reads
-observe earlier writes) run on both reactor backends.
-"""
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,20 +15,16 @@ write_scripts = st.lists(
     st.tuples(st.booleans()), min_size=1, max_size=8
 )
 
-REACTOR_MODES = ("threaded", "asyncio")
-
-
-@pytest.mark.parametrize("reactor_mode", REACTOR_MODES)
 @given(
     payload_count=st.integers(min_value=1, max_value=8),
     tear_pattern=st.lists(st.booleans(), min_size=0, max_size=12),
 )
 @settings(max_examples=40, deadline=None)
-def test_queue_order_and_last_write_wins(reactor_mode, payload_count, tear_pattern):
+def test_queue_order_and_last_write_wins(payload_count, tear_pattern):
     """Whatever tear pattern the link throws, successes arrive in schedule
     order and the tag ends holding the last scheduled write."""
     env = RfidEnvironment()
-    phone = AndroidDevice("prop-phone", env, reactor_mode=reactor_mode)
+    phone = AndroidDevice("prop-phone", env)
     try:
         activity = phone.start_activity(PlainNfcActivity)
         # Tears from the pattern, then a clean link so everything finishes.
@@ -58,16 +49,15 @@ def test_queue_order_and_last_write_wins(reactor_mode, payload_count, tear_patte
         phone.shutdown()
 
 
-@pytest.mark.parametrize("reactor_mode", REACTOR_MODES)
 @given(
     reads=st.integers(min_value=0, max_value=4),
     writes=st.integers(min_value=1, max_value=4),
 )
 @settings(max_examples=30, deadline=None)
-def test_interleaved_reads_observe_program_order(reactor_mode, reads, writes):
+def test_interleaved_reads_observe_program_order(reads, writes):
     """A read scheduled after a write always observes that write (or later)."""
     env = RfidEnvironment()
-    phone = AndroidDevice("order-phone", env, reactor_mode=reactor_mode)
+    phone = AndroidDevice("order-phone", env)
     try:
         activity = phone.start_activity(PlainNfcActivity)
         tag = text_tag("initial")

@@ -1,10 +1,13 @@
 """Tests for the reactor scheduler and reactor-backed reference semantics.
 
 The first half exercises :class:`repro.core.scheduler.Reactor` directly
-(serial tasks, cross-task concurrency, deadline timers, bounded lazy
-workers). The second half checks the paper guarantees *through* the
-reactor: per-tag FIFO ordering for pipelined operations and freedom from
-cross-tag head-of-line blocking, even on a single loop thread.
+through the ``ReactorTask`` contract (serial tasks, rerun on a mid-step
+wake, deadlines a step returns, crash isolation, lazy start). The
+second half checks the paper guarantees *through* the reactor: per-tag
+FIFO ordering for pipelined operations and freedom from cross-tag
+head-of-line blocking, with one loop thread running every task.
+``tests/core/test_scheduler_asyncio.py`` covers what rests on the loop
+itself: its one thread, ``schedule_at`` timers and the ``mode`` keyword.
 """
 
 import threading
@@ -12,34 +15,32 @@ import time
 
 from repro.clock import ManualClock
 from repro.concurrent import EventLog, wait_until
-from repro.core.scheduler import PortReadyQueue, Reactor, default_worker_count
+from repro.core.scheduler import Reactor
 
-from tests.conftest import PlainNfcActivity, make_reference, text_tag
+from tests.conftest import make_reference, text_tag
 
 
 class TestReactor:
     def test_lazy_threads_and_bounded_pool(self):
-        """No threads until the first wake; never more than the bound."""
-        reactor = Reactor(max_workers=2, name="lazy")
+        """No threads until the first wake; one while running; none
+        after stop."""
+        reactor = Reactor(name="lazy")
         try:
             assert reactor.thread_count == 0
             task = reactor.register(lambda: None, name="noop")
             assert reactor.thread_count == 0  # registration is free
             task.wake()
             assert wait_until(lambda: reactor.steps_executed >= 1, timeout=5)
-            # 2 workers at most, plus the timer thread.
-            assert reactor.thread_count <= 3
+            assert reactor.thread_count == 1
         finally:
             reactor.stop()
         assert reactor.is_stopped
         assert wait_until(lambda: reactor.thread_count == 0, timeout=5)
 
-    def test_default_worker_count_is_bounded(self):
-        assert 1 <= default_worker_count() <= 32
-
     def test_task_is_serial_even_under_concurrent_wakes(self):
-        """The same task never runs on two workers at once."""
-        reactor = Reactor(max_workers=4, name="serial")
+        """The same task never runs twice at once, however many threads
+        wake it while a long step runs."""
+        reactor = Reactor(name="serial")
         try:
             lock = threading.Lock()
             state = {"active": 0, "overlaps": 0, "runs": 0}
@@ -73,30 +74,9 @@ class TestReactor:
         finally:
             reactor.stop()
 
-    def test_distinct_tasks_run_concurrently(self):
-        """Two tasks meet at a barrier: only possible on two workers."""
-        reactor = Reactor(max_workers=4, name="parallel")
-        try:
-            barrier = threading.Barrier(2, timeout=5)
-            met = EventLog()
-
-            def make_step(label):
-                def step():
-                    barrier.wait()
-                    met.append(label)
-                    return None
-
-                return step
-
-            reactor.register(make_step("a"), name="a").wake()
-            reactor.register(make_step("b"), name="b").wake()
-            assert met.wait_for_count(2, timeout=5)
-        finally:
-            reactor.stop()
-
     def test_wake_during_step_causes_rerun(self):
         """A wake landing mid-step is never lost: another step follows."""
-        reactor = Reactor(max_workers=2, name="rerun")
+        reactor = Reactor(name="rerun")
         try:
             started = threading.Event()
             release = threading.Event()
@@ -118,9 +98,10 @@ class TestReactor:
             reactor.stop()
 
     def test_manual_clock_timer_fires_on_advance_only(self):
-        """A future deadline fires when simulated time reaches it."""
+        """A future deadline a step returns fires when simulated time
+        reaches it."""
         clock = ManualClock()
-        reactor = Reactor(clock=clock, max_workers=2, name="timed")
+        reactor = Reactor(clock=clock, name="timed")
         try:
             fired = EventLog()
             state = {"scheduled": False}
@@ -145,7 +126,7 @@ class TestReactor:
 
     def test_immediate_requeue_when_returned_time_already_passed(self):
         """Returning a time at or before "now" means run again at once."""
-        reactor = Reactor(max_workers=2, name="spin")
+        reactor = Reactor(name="spin")
         try:
             runs = []
 
@@ -161,8 +142,8 @@ class TestReactor:
             reactor.stop()
 
     def test_many_tasks_complete_on_tiny_pool(self):
-        """The bound limits parallelism, never completion."""
-        reactor = Reactor(max_workers=2, name="tiny")
+        """Many tasks share the one loop thread and all complete."""
+        reactor = Reactor(name="tiny")
         try:
             done = EventLog()
             for index in range(40):
@@ -170,12 +151,12 @@ class TestReactor:
                     lambda i=index: done.append(i) or None, name=f"t{index}"
                 ).wake()
             assert done.wait_for_count(40, timeout=10)
-            assert reactor.thread_count <= 3  # 2 workers + timer
         finally:
             reactor.stop()
 
     def test_step_exception_does_not_kill_the_pool(self):
-        reactor = Reactor(max_workers=2, name="faulty")
+        """A step that raises does not stop the task queued beside it."""
+        reactor = Reactor(name="faulty")
         try:
             done = EventLog()
 
@@ -189,64 +170,16 @@ class TestReactor:
             reactor.stop()
 
     def test_wake_after_stop_is_a_noop(self):
-        reactor = Reactor(max_workers=2, name="stopped")
+        """A reactor stopped before its first wake never runs a step and
+        never starts its loop thread."""
+        reactor = Reactor(name="stopped")
         runs = []
         task = reactor.register(lambda: runs.append(1) or None, name="late")
         reactor.stop()
         task.wake()
         time.sleep(0.02)
         assert runs == []
-
-
-class TestPortReadyQueue:
-    """The ready set handed to the per-port drain: generations guard
-    against lost wakeups, rotation spreads service starts across tags."""
-
-    def test_clear_only_succeeds_on_matching_generation(self):
-        queue = PortReadyQueue()
-        queue.mark("a")
-        (item,) = queue.snapshot()
-        key, generation = item
-        queue.mark("a")  # producer re-marked mid-drain
-        assert not queue.clear(key, generation)
-        (_, fresh) = queue.snapshot()[0]
-        assert queue.clear(key, fresh)
-        assert queue.snapshot() == []
-
-    def test_plain_snapshot_keeps_insertion_order(self):
-        queue = PortReadyQueue()
-        for key in ("a", "b", "c"):
-            queue.mark(key)
-        assert [key for key, _ in queue.snapshot()] == ["a", "b", "c"]
-        # Un-rotated snapshots never move the starting point.
-        assert [key for key, _ in queue.snapshot()] == ["a", "b", "c"]
-
-    def test_rotated_snapshots_cycle_the_starting_key(self):
-        queue = PortReadyQueue()
-        for key in ("a", "b", "c"):
-            queue.mark(key)
-        starts = [queue.snapshot(rotate=True)[0][0] for _ in range(6)]
-        assert starts == ["a", "b", "c", "a", "b", "c"]
-        # Every rotation is a full permutation, not a truncation.
-        assert sorted(k for k, _ in queue.snapshot(rotate=True)) == ["a", "b", "c"]
-
-    def test_rotation_survives_the_cursor_key_vanishing(self):
-        queue = PortReadyQueue()
-        for key in ("a", "b", "c"):
-            queue.mark(key)
-        queue.snapshot(rotate=True)  # cursor now at "b"
-        queue.discard("b")
-        assert [key for key, _ in queue.snapshot(rotate=True)] == ["a", "c"]
-
-    def test_has_other(self):
-        queue = PortReadyQueue()
-        assert not queue.has_other("a")
-        queue.mark("a")
-        assert not queue.has_other("a")
-        queue.mark("b")
-        assert queue.has_other("a")
-        queue.discard("b")
-        assert not queue.has_other("a")
+        assert reactor.thread_count == 0
 
 
 class TestReactorOrdering:
@@ -270,8 +203,8 @@ class TestReactorOrdering:
     def test_absent_tag_never_starves_present_tag(
         self, scenario, phone, activity
     ):
-        """The ablation scenario on the shared pool: a reference retrying
-        an out-of-range tag must not delay a present tag's operations."""
+        """The ablation scenario: a reference retrying an out-of-range
+        tag must not delay a present tag's operations."""
         absent = text_tag("absent")
         present = text_tag("present")
         scenario.put(present, phone)
@@ -288,14 +221,14 @@ class TestReactorOrdering:
         assert ref_absent.pending_count == 1  # still queued, still silent
         assert present.read_ndef()[0].payload == b"w19"
 
-    def test_no_head_of_line_blocking_even_with_one_worker(self, scenario):
+    def test_no_head_of_line_blocking_even_with_one_worker(
+        self, scenario, phone, activity
+    ):
         """The sharpest form: one loop thread runs every task -- both
         references and the transaction scheduler. If an absent tag's
         retry loop ever held that thread, the present tag could never
         proceed; because waiting tasks return to the deadline heap, it
         does."""
-        phone = scenario.add_phone("hol-phone", reactor_mode="asyncio")
-        activity = scenario.start(phone, PlainNfcActivity)
         absent = text_tag("a")
         present = text_tag("b")
         scenario.put(present, phone)
@@ -307,7 +240,7 @@ class TestReactorOrdering:
         assert done.wait_for_count(1, timeout=5)
         assert present.read_ndef()[0].payload == b"lands"
         assert ref_absent.pending_count == 1
-        assert phone.reactor.thread_count <= 1
+        assert phone.reactor.thread_count == 1
 
     def test_absent_tag_operation_still_times_out_under_reactor(
         self, scenario, phone, activity

@@ -1,8 +1,8 @@
 """FleetGateway end-to-end: sharded ingestion, merged views, drop accounting.
 
 Every test runs under a :class:`ManualClock` — drains are wake-driven
-(both reactor backends service wakes without time passing) and the
-``drain()`` condition barrier replaces sleeps.
+(the reactor services wakes without time passing) and the ``drain()``
+condition barrier replaces sleeps.
 """
 
 import random
@@ -24,9 +24,6 @@ from repro.gateway import (
     simulate_fleet,
 )
 from repro.harness.crowd import fleet_day
-
-BACKENDS = ("threaded", "asyncio")
-
 
 class InertTask:
     """A registered-but-never-run drain task: queues only fill."""
@@ -61,11 +58,11 @@ class InertReactor:
         return task
 
 
-@pytest.fixture(params=BACKENDS)
-def live(request):
-    """(clock, reactor, gateway) on one backend, torn down afterwards."""
+@pytest.fixture
+def live():
+    """(clock, reactor, gateway), torn down afterwards."""
     clock = ManualClock()
-    reactor = Reactor(clock=clock, name="gw-test", mode=request.param)
+    reactor = Reactor(clock=clock, name="gw-test")
     gateway = FleetGateway(
         reactor, clock=clock, shards=4, window_seconds=60.0, bucket_seconds=5.0
     )

@@ -206,7 +206,7 @@ class TestTimerFlush:
             )
             reporter.record("scan", "tag-0")
             reporter.record("scan", "tag-1")
-            # No clock advance needed: the wake drains on a worker thread.
+            # No clock advance needed: the wake drains on the reactor loop.
             assert wait_until(lambda: sink.batches)
             assert len(sink.delivered) == 2
         finally:

@@ -1,6 +1,6 @@
 """EncodeStats: counting semantics and thread safety.
 
-The counters are process-wide and bumped from reactor workers, beamer
+The counters are process-wide and bumped from reactor loops, beamer
 threads and loopers concurrently; losing increments under contention
 would silently understate cache effectiveness in the benches.
 """

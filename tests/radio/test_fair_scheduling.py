@@ -8,6 +8,7 @@ per-tag service telemetry.
 """
 
 import math
+import threading
 
 import pytest
 
@@ -167,6 +168,55 @@ class TestCrossTagInterleaving:
             # reach, far before the hot backlog drained.
             assert events.index("c0") < events.index("h23")
             assert events.index("c0") <= 16
+
+    def test_bulk_entry_serves_the_whole_cohort_in_one_rotation(
+        self, scenario, phone, activity
+    ):
+        """A bulk field entry hands the scheduler its whole cohort: the
+        first service round visits every tag once, and the next round
+        does not start with the tag the first round served last. A field
+        listener registered after the scheduler's holds the dispatching
+        thread on the first ``TagEntered`` until the first round has
+        begun, which is the interleaving that used to split the cohort
+        (one tag served alone, then served again at once)."""
+        tags = [text_tag(f"t{index}") for index in range(4)]
+        refs = [co_located_refs(activity, tag, phone, 1)[0] for tag in tags]
+        done = EventLog()
+        for ref in refs:
+            for index in range(12):  # two deficit quanta per tag
+                ref.write(
+                    f"v{index}", coalesce=False, on_written=lambda _r: done.append(1)
+                )
+        # Let every reference park on its absent tag first: a step still
+        # queued from the writes would mark its tag itself.
+        parked = threading.Event()
+        phone.reactor.register(parked.set, name="barrier").wake()
+        assert parked.wait(5)
+        port = phone.port
+        visits = []
+        round_begun = threading.Event()
+        all_entered = threading.Event()
+        open_session = port.open_session
+
+        def logged_open_session(tag):
+            visits.append(tags.index(tag))
+            round_begun.set()
+            # Hold the first visit until the whole cohort has entered.
+            all_entered.wait(5)
+            return open_session(tag)
+
+        def hold_first_entry(_event):
+            if not visits:
+                round_begun.wait(1.0)
+
+        port.open_session = logged_open_session
+        port.add_field_listener(hold_first_entry)
+        scenario.env.move_tags_into_field(tags, port)
+        all_entered.set()
+        assert done.wait_for_count(48, timeout=10)
+        cohort = len(tags)
+        assert sorted(visits[:cohort]) == list(range(cohort)), visits
+        assert visits[cohort] != visits[cohort - 1], visits
 
     def test_drain_policy_preserves_whole_tag_service(self, scenario, activity):
         """Ablation: under the whole-tag drain baseline the first-marked

@@ -17,6 +17,7 @@ from repro.core.reference import TagReference
 from repro.radio.environment import RfidEnvironment
 from repro.radio.link import ScriptedLink
 from repro.radio.timing import NO_DELAY, NOMINAL, TransferTiming
+from repro.radio.txscheduler import PortReadyQueue
 
 from tests.conftest import (
     PlainNfcActivity,
@@ -184,7 +185,7 @@ class TestLifecycle:
         self, scenario, phone, activity, tag
     ):
         """A departed tag must not leave a runnable key behind: stale
-        keys wake workers for empty batches forever."""
+        keys wake the drain for empty batches forever."""
         (ref,) = co_located_refs(activity, tag, phone, 1)
         scheduler = phone.tx_scheduler
         scenario.put(tag, phone)
@@ -214,3 +215,54 @@ class TestLifecycle:
         ref.write("live", on_written=lambda _r: done.append(1))
         assert done.wait_for_count(1)
         assert wait_until(lambda: tag.read_ndef()[0].payload == b"live")
+
+
+class TestPortReadyQueue:
+    """The ready set handed to the per-port drain: generations guard
+    against lost wakeups, rotation spreads service starts across tags."""
+
+    def test_clear_only_succeeds_on_matching_generation(self):
+        queue = PortReadyQueue()
+        queue.mark("a")
+        (item,) = queue.snapshot()
+        key, generation = item
+        queue.mark("a")  # producer re-marked mid-drain
+        assert not queue.clear(key, generation)
+        (_, fresh) = queue.snapshot()[0]
+        assert queue.clear(key, fresh)
+        assert queue.snapshot() == []
+
+    def test_plain_snapshot_keeps_insertion_order(self):
+        queue = PortReadyQueue()
+        for key in ("a", "b", "c"):
+            queue.mark(key)
+        assert [key for key, _ in queue.snapshot()] == ["a", "b", "c"]
+        # Un-rotated snapshots never move the starting point.
+        assert [key for key, _ in queue.snapshot()] == ["a", "b", "c"]
+
+    def test_rotated_snapshots_cycle_the_starting_key(self):
+        queue = PortReadyQueue()
+        for key in ("a", "b", "c"):
+            queue.mark(key)
+        starts = [queue.snapshot(rotate=True)[0][0] for _ in range(6)]
+        assert starts == ["a", "b", "c", "a", "b", "c"]
+        # Every rotation is a full permutation, not a truncation.
+        assert sorted(k for k, _ in queue.snapshot(rotate=True)) == ["a", "b", "c"]
+
+    def test_rotation_survives_the_cursor_key_vanishing(self):
+        queue = PortReadyQueue()
+        for key in ("a", "b", "c"):
+            queue.mark(key)
+        queue.snapshot(rotate=True)  # cursor now at "b"
+        queue.discard("b")
+        assert [key for key, _ in queue.snapshot(rotate=True)] == ["a", "c"]
+
+    def test_has_other(self):
+        queue = PortReadyQueue()
+        assert not queue.has_other("a")
+        queue.mark("a")
+        assert not queue.has_other("a")
+        queue.mark("b")
+        assert queue.has_other("a")
+        queue.discard("b")
+        assert not queue.has_other("a")

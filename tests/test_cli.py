@@ -166,21 +166,17 @@ class TestGateway:
         assert "station-" in out
 
     def test_gateway_runs_on_asyncio_backend(self, capsys):
+        """Every shard drains on the one reactor loop; no flag picks it."""
         assert (
-            main(
-                [
-                    "gateway",
-                    "--devices", "4",
-                    "--tags", "20",
-                    "--backend", "asyncio",
-                    "--seed", "2",
-                ]
-            )
+            main(["gateway", "--devices", "4", "--tags", "20", "--seed", "2"])
             == 0
         )
         out = capsys.readouterr().out
+        assert "4 shard(s) on one reactor loop" in out
         assert "ingested=" in out
 
     def test_gateway_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["gateway", "--backend", "curio"])
+        """There is no backend choice left: ``--backend`` is not an option."""
+        for backend in ("threaded", "asyncio"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["gateway", "--backend", backend])
