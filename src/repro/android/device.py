@@ -18,7 +18,7 @@ transition completed, which keeps test code linear.
 from __future__ import annotations
 
 import threading
-from typing import Callable, List, Optional, Type, TypeVar
+from typing import TYPE_CHECKING, Callable, List, Optional, Type, TypeVar
 
 from repro.android.activity import Activity, ActivityState
 from repro.android.looper import Looper
@@ -28,7 +28,9 @@ from repro.core.scheduler import Reactor
 from repro.errors import LifecycleError
 from repro.radio.environment import RfidEnvironment
 from repro.radio.port import NfcAdapterPort
-from repro.radio.txscheduler import PortTransactionScheduler
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.radio.txscheduler import PortTransactionScheduler
 
 A = TypeVar("A", bound=Activity)
 
@@ -102,6 +104,10 @@ class AndroidDevice:
         across co-present tags under the device's ``tx_policy``. See
         :mod:`repro.radio.txscheduler`.
         """
+        # Imported here: repro.radio imports repro.core, which imports
+        # this module, so a module-level import breaks `import repro.radio`.
+        from repro.radio.txscheduler import PortTransactionScheduler
+
         reactor = self.reactor  # outside _tx_lock: both locks are plain
         with self._tx_lock:
             if self._tx_scheduler is None:

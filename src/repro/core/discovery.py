@@ -34,6 +34,7 @@ from repro.ndef.mime import normalize_mime_type
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.android.nfc.tech import Tag
+    from repro.ndef.message import NdefMessage
 
 
 class TagDiscoverer:
@@ -143,7 +144,7 @@ class TagDiscoverer:
 
     # -- intent plumbing (called by NFCActivity on the main thread) --------------------
 
-    def _handle_tag(self, mime_type: str, tag: "Tag") -> None:
+    def _handle_tag(self, mime_type: str, tag: "Tag", message: "NdefMessage") -> None:
         if mime_type != self.mime_type:
             return
         reference, is_new = self._activity.reference_factory.get_or_create(
@@ -156,9 +157,10 @@ class TagDiscoverer:
         # during dispatch; a tag whose data our converter rejects is
         # disregarded, exactly like one with a foreign MIME type.
         try:
-            self._prime_cache(reference)
+            converted = self.read_converter.convert(message)
         except ConverterError:
             return
+        reference._update_cache(converted, message)  # noqa: SLF001 - cache prime
         reference.notify_redetected()
         if not self.check_condition(reference):
             return
@@ -184,12 +186,3 @@ class TagDiscoverer:
         reference.notify_redetected()
         self.on_empty_tag_detected(reference)
         self._notify_detection("empty", reference)
-
-    def _prime_cache(self, reference: TagReference) -> None:
-        simulated = reference.tag.simulated
-        try:
-            message = simulated.read_ndef()
-        except Exception:  # noqa: BLE001 - unreadable now; async reads will retry
-            return
-        converted = self.read_converter.convert(message)  # may raise ConverterError
-        reference._update_cache(converted, message)  # noqa: SLF001 - cache prime

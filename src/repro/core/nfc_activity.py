@@ -94,8 +94,12 @@ class NFCActivity(Activity):
         if tag is None:
             return
         if intent.action == ACTION_NDEF_DISCOVERED:
+            # The platform decoded the message while dispatching; pass it on.
+            messages = intent.get_extra(EXTRA_NDEF_MESSAGES) or []
+            if not messages:
+                return
             for discoverer in list(self._discoverers):
-                discoverer._handle_tag(intent.mime_type, tag)  # noqa: SLF001
+                discoverer._handle_tag(intent.mime_type, tag, messages[0])  # noqa: SLF001
         elif intent.action == ACTION_TECH_DISCOVERED:
             # Empty or unformatted tag: only discoverers that opted in.
             for discoverer in list(self._discoverers):

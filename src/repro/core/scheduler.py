@@ -149,6 +149,9 @@ class Reactor:
         # Guarded by _lock: deadline the heap is currently serviced up
         # to; a schedule_at later than this needs no extra service pass.
         self._timer_deadline: Optional[float] = None
+        # Guarded by _lock: a _drain callback is posted or running, so a
+        # wake only has to append to _ready.
+        self._drain_posted = False
         self._started = False
         self._stopped = False
         self._steps = 0
@@ -277,8 +280,10 @@ class Reactor:
         if task._state == _IDLE:
             task._state = _QUEUED
             self._ready.append(task)
-            self._ensure_started_locked()
-            self._call_on_loop(self._run_one)
+            if not self._drain_posted:
+                self._drain_posted = True
+                self._ensure_started_locked()
+                self._call_on_loop(self._drain)
         elif task._state == _RUNNING:
             task._rerun = True
         # _QUEUED: already scheduled, the wake coalesces.
@@ -294,14 +299,30 @@ class Reactor:
 
     # -- internals: the loop -------------------------------------------------------
 
-    def _run_one(self) -> None:
-        """Pop one ready task and run its step (loop thread only).
+    def _drain(self) -> None:
+        """Run one step of each task that was ready when the round began
+        (loop thread only).
 
-        Exactly one ``_run_one`` callback is posted per append to
-        ``_ready``, so one-task-per-callback drains the queue while
-        letting loop timers and user coroutines interleave between
-        steps.
+        At most one ``_drain`` callback is pending per reactor, so a
+        burst of wakes from other threads costs one loop post. Tasks
+        made ready during the round wait for the next one, which the
+        round posts with ``call_soon``: loop timers and user coroutines
+        interleave between rounds, as they do between asyncio's own
+        per-iteration batches of callbacks.
         """
+        with self._lock:
+            ready = len(self._ready)
+        try:
+            for _ in range(ready):
+                self._run_one()
+        finally:
+            with self._lock:
+                again = self._drain_posted = bool(self._ready) and not self._stopped
+            if again:
+                self._loop.call_soon(self._drain)
+
+    def _run_one(self) -> None:
+        """Pop one ready task and run its step (loop thread only)."""
         with self._lock:
             if self._stopped or not self._ready:
                 return

@@ -12,11 +12,18 @@ radio path**: ``record`` is an O(1) append under a short lock, with
 * *coalescing* — a burst of identical events (same kind/tag/station)
   folds into the tail record's ``count`` instead of queueing
   duplicates, which is what keeps a redetection storm cheap;
-* *batched delivery* — the buffer flushes to the gateway either when it
-  reaches ``max_batch`` or when ``flush_interval`` elapses on the
-  device's reactor (a ``schedule_at`` deadline, so a ManualClock
-  advance triggers it deterministically). Without a reactor the
-  threshold flush happens inline — still just per-shard queue appends.
+* *batched delivery* — the buffer flushes to the gateway on the
+  device's reactor, as a throttle that fires on the leading edge: an
+  event that finds the buffer empty and no flush within the last
+  ``flush_interval`` wakes the reporter's task, which flushes at once
+  (events recorded back to back before it runs share that batch);
+  any other event rides its buffer's flush, due ``flush_interval``
+  after the buffer's first event (a ``schedule_at`` deadline, so a
+  ManualClock advance triggers it deterministically), or the flush at
+  ``max_batch``. No event waits longer than ``flush_interval``, and a
+  leading flush comes at least ``flush_interval`` after the reporter's
+  previous flush. Without a reactor only the threshold flush happens,
+  inline — still just per-shard queue appends.
 
 The ``attach_*`` methods hook the reporter into the three middleware
 surfaces (following RAFDA's policy/logic split, the *device* code never
@@ -46,6 +53,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 
 class GatewayReporter:
     """Batches one station's events toward a :class:`FleetGateway`."""
+
+    # Clock time of the last flush that delivered events. A class-level
+    # default, so a reporter that has never flushed carries no copy.
+    _last_flush_at = float("-inf")
 
     def __init__(
         self,
@@ -153,7 +164,12 @@ class GatewayReporter:
             if depth >= self._max_batch:
                 flush_now = True
             elif depth == 1 and self._task is not None and self._flush_interval:
-                arm_timer = True
+                # A buffer opened after a whole interval without a flush
+                # leads one now; any other flushes an interval after this.
+                if at - self._last_flush_at >= self._flush_interval:
+                    flush_now = True
+                else:
+                    arm_timer = True
         if shed:
             self._gateway.count_reporter_drops(shed)
         if flush_now:
@@ -171,6 +187,7 @@ class GatewayReporter:
                 return 0
             batch = self._buffer
             self._buffer = []
+            self._last_flush_at = self._clock.now()
         self._gateway.submit_batch(batch)
         return len(batch)
 

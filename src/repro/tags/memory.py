@@ -96,26 +96,43 @@ class TagMemory:
             self._pages[offset : offset + PAGE_SIZE] = data
 
     def write_bytes(self, start_page: int, data: bytes) -> None:
-        """Write ``data`` page by page starting at ``start_page``.
+        """Write ``data`` over the pages from ``start_page`` on, in one pass.
 
-        The final partial page (if any) is padded with the existing bytes,
-        i.e. only ``len(data)`` bytes actually change.
+        The final partial page (if any) keeps its existing bytes, i.e.
+        only ``len(data)`` bytes actually change. Bytes, wear counts and
+        errors are those of writing page by page: a write past the end,
+        a page out of range or a locked tag raises before any byte
+        changes; if a page has exhausted its endurance, the pages before
+        it are written and counted, then ``TagWornOutError`` names it.
         """
+        size = len(data)
         with self._lock:
-            full_pages, remainder = divmod(len(data), PAGE_SIZE)
-            needed = full_pages + (1 if remainder else 0)
+            needed = -(-size // PAGE_SIZE)
             if start_page + needed > self._page_count:
-                raise TagError(
-                    f"{len(data)}-byte write at page {start_page} exceeds memory"
-                )
-            for index in range(full_pages):
-                offset = index * PAGE_SIZE
-                self.write_page(start_page + index, data[offset : offset + PAGE_SIZE])
-            if remainder:
-                tail_page = start_page + full_pages
-                existing = self.read_page(tail_page)
-                patched = data[full_pages * PAGE_SIZE :] + existing[remainder:]
-                self.write_page(tail_page, patched)
+                raise TagError(f"{size}-byte write at page {start_page} exceeds memory")
+            if not needed:
+                return
+            self._check_page(start_page)
+            if self._locked:
+                raise TagReadOnlyError(f"page {start_page} is locked")
+            worn = None
+            endurance = self._write_endurance
+            if endurance:
+                counts = self._write_counts
+                for page in range(start_page, start_page + needed):
+                    if counts[page] >= endurance:
+                        worn = page
+                        break
+                    counts[page] += 1
+            offset = start_page * PAGE_SIZE
+            if worn is None:
+                self._pages[offset : offset + size] = data
+                return
+            written = (worn - start_page) * PAGE_SIZE
+            self._pages[offset : offset + written] = data[:written]
+            raise TagWornOutError(
+                f"page {worn} exceeded its {endurance}-cycle write endurance"
+            )
 
     # -- diagnostics ---------------------------------------------------------
 

@@ -9,6 +9,7 @@ from repro.core.converters import (
 )
 from repro.core.discovery import TagDiscoverer
 from repro.core.nfc_activity import NFCActivity
+from repro.ndef.message import NdefMessage
 from repro.tags.factory import make_tag
 
 from tests.conftest import TEXT_TYPE, text_message, text_tag
@@ -74,6 +75,24 @@ class TestDetection:
         assert app.discoverer.log.wait_for_count(1)
         _, reference = app.discoverer.log.snapshot()[0]
         assert reference.cached == "primed-content"
+
+    def test_detection_decodes_the_tag_once(self, scenario, phone, app, monkeypatch):
+        """The cache is primed from the message the adapter decoded while
+        dispatching; the tag is not read and decoded a second time."""
+        tag = text_tag("decoded-once")
+        decodes = []
+        decode = NdefMessage.from_bytes
+        monkeypatch.setattr(
+            NdefMessage,
+            "from_bytes",
+            staticmethod(lambda raw: decodes.append(raw) or decode(raw)),
+        )
+        scenario.put(tag, phone)
+        assert app.discoverer.log.wait_for_count(1)
+        assert phone.sync()
+        _, reference = app.discoverer.log.snapshot()[0]
+        assert reference.cached == "decoded-once"
+        assert len(decodes) == 1
 
     def test_foreign_mime_type_disregarded(self, scenario, phone, app):
         tag = text_tag("foreign", mime_type="other/type")

@@ -5,7 +5,10 @@ import pytest
 from repro.android.intents import (
     ACTION_NDEF_DISCOVERED,
     ACTION_TECH_DISCOVERED,
+    EXTRA_TAG,
+    Intent,
 )
+from repro.android.nfc.tech import Tag
 from repro.concurrent import EventLog
 from repro.core.beam import Beamer, BeamReceivedListener
 from repro.core.converters import (
@@ -88,6 +91,23 @@ class TestRouting:
         assert app.one.log.wait_for_count(1)
         assert phone.sync()
         assert len(app.two.log) == 0
+
+    def test_tag_intent_without_message_is_ignored(self, scenario, phone):
+        class App(NFCActivity):
+            def on_create(self):
+                self.one = Recorder(self, "app/one")
+
+        app = scenario.start(phone, App)
+        tag = text_tag("unread", mime_type="app/one")
+        intent = Intent(
+            action=ACTION_NDEF_DISCOVERED,
+            mime_type="app/one",
+            extras={EXTRA_TAG: Tag(tag, phone.port)},
+        )
+        phone.main_looper.post(lambda: app.on_new_intent(intent))
+        assert phone.sync()
+        assert len(app.one.log) == 0
+        assert app.reference_factory.known_references() == []
 
     def test_empty_tag_routed_only_to_opted_in(self, scenario, phone):
         class App(NFCActivity):

@@ -11,6 +11,7 @@ on a simulated one, and the reference stack runs on a phone built with
 ``reactor_mode="asyncio"``, the keyword the benchmark scripts pass.
 """
 
+import asyncio
 import threading
 import time
 
@@ -18,6 +19,7 @@ import pytest
 
 from repro.clock import ManualClock, SystemClock
 from repro.concurrent import EventLog, wait_until
+from repro.core.aio import run_on_reactor
 from repro.core.scheduler import Reactor
 
 from tests.conftest import PlainNfcActivity as _PlainActivity
@@ -123,6 +125,61 @@ class TestAsyncioReactor:
             assert wait_until(lambda: state["active"] == 0, timeout=5)
             assert state["overlaps"] == 0
         finally:
+            reactor.stop()
+
+    def test_burst_of_cross_thread_wakes_costs_one_loop_post(self):
+        """While a step holds the loop, another thread wakes 100 idle
+        tasks: after release each steps exactly once, and the loop got
+        at most one thread-safe post for the whole burst."""
+        reactor = Reactor(clock=ManualClock(), name="burst")
+        try:
+            entered, release = threading.Event(), threading.Event()
+
+            def hold():
+                entered.set()
+                release.wait(5)
+
+            reactor.register(hold, name="hold").wake()
+            assert entered.wait(5)
+            loop = reactor.loop
+            posts = []
+            post = loop.call_soon_threadsafe
+
+            def counting_post(callback, *args, **kwargs):
+                posts.append(callback)
+                return post(callback, *args, **kwargs)
+
+            loop.call_soon_threadsafe = counting_post
+            ran = EventLog()
+            tasks = [
+                reactor.register(lambda i=i: ran.append(i), name=f"t{i}")
+                for i in range(100)
+            ]
+            waker = threading.Thread(target=lambda: [t.wake() for t in tasks])
+            waker.start()
+            waker.join(5)
+            assert not waker.is_alive()
+            release.set()
+            assert ran.wait_for_count(100, timeout=5)
+            assert not wait_until(lambda: len(ran.snapshot()) > 100, timeout=0.05)
+            assert sorted(ran.snapshot()) == list(range(100))
+            assert len(posts) <= 1
+        finally:
+            reactor.stop()
+
+    def test_busy_task_leaves_the_loop_to_coroutines(self):
+        """A task that always asks to run again does not starve the
+        loop: a coroutine sleeping on the same loop still completes."""
+        reactor = Reactor(name="busy")
+        stop = threading.Event()
+        try:
+            reactor.register(
+                lambda: None if stop.is_set() else 0.0, name="spin"
+            ).wake()
+            future = run_on_reactor(reactor, asyncio.sleep(0.01, result="slept"))
+            assert future.result(timeout=5) == "slept"
+        finally:
+            stop.set()
             reactor.stop()
 
     def test_wake_during_step_reruns_exactly_like_threaded(self):

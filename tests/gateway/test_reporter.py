@@ -1,6 +1,9 @@
 """GatewayReporter: coalescing, bounded buffering, flushing, middleware hooks."""
 
 import asyncio
+import heapq
+import itertools
+import random
 
 import pytest
 
@@ -186,13 +189,37 @@ class TestTimerFlush:
                 sink, "gate-0", reactor=reactor, flush_interval=0.5
             )
             reporter.record("scan", "tag-0")
-            assert reporter.pending == 1
-            assert not sink.batches
-            clock.advance(0.5)
+            # The batch is handed over after the buffer is swapped out, so
+            # from here on the reporter has flushed at t=0.
             assert wait_until(lambda: sink.batches)
+            reporter.record("scan", "tag-1")
+            assert reporter.pending == 1
+            assert not wait_until(lambda: len(sink.batches) > 1, timeout=0.05)
+            clock.advance(0.5)
+            assert wait_until(lambda: len(sink.batches) == 2)
             assert reporter.pending == 0
-            (event,) = sink.delivered
-            assert event.tag_uid == "tag-0"
+            (event,) = sink.batches[1]
+            assert event.tag_uid == "tag-1"
+        finally:
+            reactor.stop()
+
+    def test_quiet_reporter_delivers_at_once(self):
+        """An event that finds the reporter quiet for a whole interval
+        reaches the gateway with no clock advance."""
+        clock = ManualClock()
+        reactor = Reactor(clock=clock, name="reporter-test")
+        try:
+            sink = SinkGateway(clock)
+            reporter = GatewayReporter(
+                sink, "gate-0", reactor=reactor, flush_interval=0.5
+            )
+            reporter.record("scan", "tag-0")  # never flushed: quiet
+            assert wait_until(lambda: len(sink.batches) == 1)
+            clock.advance(0.5)  # a whole interval since that flush
+            reporter.record("scan", "tag-1")
+            assert wait_until(lambda: len(sink.batches) == 2)
+            assert [e.tag_uid for e in sink.delivered] == ["tag-0", "tag-1"]
+            assert reporter.pending == 0
         finally:
             reactor.stop()
 
@@ -211,6 +238,190 @@ class TestTimerFlush:
             assert len(sink.delivered) == 2
         finally:
             reactor.stop()
+
+
+class SimTask:
+    def __init__(self, reactor, step):
+        self._reactor = reactor
+        self._step = step
+        self._queued = False
+
+    def wake(self):
+        if not self._queued:
+            self._queued = True
+            self._reactor.ready.append(self)
+
+    def schedule_at(self, when):
+        heapq.heappush(self._reactor.timers, (when, next(self._reactor.seq), self))
+
+    def cancel(self):
+        pass
+
+    def run(self):
+        self._queued = False
+        self._step()
+
+
+class SimReactor:
+    """The ``ReactorTask`` contract on one thread and a ManualClock: a
+    woken task steps before the clock moves, a deadline when the clock
+    reaches it."""
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.ready = []
+        self.timers = []
+        self.seq = itertools.count()
+
+    def register(self, step, name="task"):
+        return SimTask(self, step)
+
+    def run_until(self, when):
+        while True:
+            while self.ready:
+                self.ready.pop(0).run()
+            if not self.timers or self.timers[0][0] > when:
+                break
+            due, _seq, task = heapq.heappop(self.timers)
+            self.clock.set(max(due, self.clock.now()))
+            task.wake()
+        self.clock.set(max(when, self.clock.now()))
+
+
+class TimedSink(SinkGateway):
+    """Also keeps the clock time each batch was submitted at."""
+
+    def __init__(self, clock):
+        super().__init__(clock)
+        self.instants = []
+
+    def submit_batch(self, events):
+        super().submit_batch(events)
+        self.instants.append(self.clock.now())
+
+    def timed_batches(self):
+        return list(zip(self.instants, self.batches))
+
+
+def replay(times, interval, max_batch=64, max_buffer=512, flushed_at=None):
+    """Record one distinct event at each of ``times`` on a reporter
+    driven by :class:`SimReactor`; returns (reporter, sink).
+
+    ``flushed_at`` starts the reporter from a manual flush at that
+    time, with no step or deadline left pending.
+    """
+    clock = ManualClock()
+    reactor = SimReactor(clock)
+    sink = TimedSink(clock)
+    reporter = GatewayReporter(
+        sink, "gate-0", reactor=reactor, clock=clock,
+        max_batch=max_batch, max_buffer=max_buffer, flush_interval=interval,
+    )
+    if flushed_at is not None:
+        reactor.run_until(flushed_at)
+        reporter.record("scan", "prime")
+        reporter.flush()
+        reactor.run_until(flushed_at)
+        reactor.timers.clear()
+        sink.batches.clear()
+        sink.instants.clear()
+    for index, at in enumerate(times):
+        reactor.run_until(at)
+        reporter.record("scan", f"tag-{index}")
+    reactor.run_until(times[-1] + interval)
+    return reporter, sink
+
+
+def fixed_delay_flushes(times, interval, max_batch):
+    """The rule before the leading edge, as (instant, batch size): a
+    buffer's first event arms a flush ``interval`` later, and the
+    ``max_batch``-th event flushes at once."""
+    flushes, timers, depth = [], [], 0
+
+    def fire_until(now):
+        nonlocal depth
+        while timers and timers[0] <= now:
+            due = heapq.heappop(timers)
+            if depth:
+                flushes.append((due, depth))
+                depth = 0
+
+    for at in times:
+        fire_until(at)
+        depth += 1
+        if depth >= max_batch:
+            flushes.append((at, depth))
+            depth = 0
+        elif depth == 1:
+            heapq.heappush(timers, at + interval)
+    fire_until(float("inf"))
+    return flushes
+
+
+def record_times(rng, count, interval, quiet_share):
+    """Increasing record times: bursts and gaps below ``interval``, and
+    a ``quiet_share`` of gaps of one to three intervals."""
+    times, at = [], 1.0
+    for _ in range(count):
+        draw = rng.random()
+        if draw < quiet_share:
+            at += rng.uniform(interval, 3 * interval)
+        elif draw < 0.5:
+            at += rng.uniform(0.001, 0.05) * interval
+        else:
+            at += rng.uniform(0.05, 0.99) * interval
+        times.append(at)
+    return times
+
+
+class TestLeadingEdgeProperties:
+    """The flush rule over seeded record times, on simulated time."""
+
+    INTERVAL = 0.05
+    EPS = 1e-9
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_delivery_bound_spacing_and_accounting(self, seed):
+        rng = random.Random(seed)
+        times = record_times(rng, 80, self.INTERVAL, quiet_share=0.2)
+        max_buffer = rng.choice([4, 8, 512])
+        reporter, sink = replay(
+            times, self.INTERVAL, max_batch=max_buffer + 1, max_buffer=max_buffer
+        )
+        # Every delivered event arrived within one interval of its record.
+        for at, batch in sink.timed_batches():
+            for event in batch:
+                assert at - event.at_seconds <= self.INTERVAL + self.EPS, seed
+        # Interval flushes (here every flush: the threshold is out of
+        # reach) stay at least one interval apart.
+        for before, after in zip(sink.instants, sink.instants[1:]):
+            assert after - before >= self.INTERVAL - self.EPS, seed
+        delivered = sum(event.count for event in sink.delivered)
+        assert reporter.recorded == delivered + reporter.dropped == len(times)
+        assert reporter.pending == 0
+        if reporter.dropped:
+            return  # a shed first event hides when its buffer began
+        # A buffer whose first event found no flush within the last
+        # interval flushes at that event; any other, an interval after it.
+        previous = float("-inf")
+        for at, batch in sink.timed_batches():
+            first = batch[0].at_seconds
+            quiet = first - previous >= self.INTERVAL
+            assert at == (first if quiet else first + self.INTERVAL), seed
+            previous = at
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_never_quiet_reporter_flushes_as_before(self, seed):
+        rng = random.Random(seed)
+        times = record_times(rng, 80, self.INTERVAL, quiet_share=0.0)
+        max_batch = rng.choice([3, 7, 64])
+        # Having flushed just before the first record, and with every
+        # gap below one interval, the reporter is never quiet.
+        _reporter, sink = replay(
+            times, self.INTERVAL, max_batch=max_batch, flushed_at=times[0] - 0.001
+        )
+        observed = [(at, len(batch)) for at, batch in sink.timed_batches()]
+        assert observed == fixed_delay_flushes(times, self.INTERVAL, max_batch), seed
 
 
 class TestMiddlewareHooks:

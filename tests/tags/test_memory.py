@@ -1,5 +1,7 @@
 """Unit tests for the page-addressed tag EEPROM."""
 
+import random
+
 import pytest
 
 from repro.errors import TagError, TagReadOnlyError, TagWornOutError
@@ -78,6 +80,59 @@ class TestWriteBytes:
         with pytest.raises(TagError):
             memory.write_bytes(1, b"123456789")
         assert memory.read_page(0) == b"keep"
+
+
+def write_bytes_by_page(memory, start_page, data):
+    """The page-by-page reference for ``TagMemory.write_bytes``: the
+    bounds check, then every page through ``write_page``, the partial
+    tail page patched with its existing bytes."""
+    full_pages, remainder = divmod(len(data), PAGE_SIZE)
+    needed = full_pages + (1 if remainder else 0)
+    if start_page + needed > memory.page_count:
+        raise TagError(f"{len(data)}-byte write at page {start_page} exceeds memory")
+    for index in range(full_pages):
+        offset = index * PAGE_SIZE
+        memory.write_page(start_page + index, data[offset : offset + PAGE_SIZE])
+    if remainder:
+        tail_page = start_page + full_pages
+        existing = memory.read_page(tail_page)
+        memory.write_page(tail_page, data[full_pages * PAGE_SIZE :] + existing[remainder:])
+
+
+def outcome(write, memory, start_page, data):
+    try:
+        write(memory, start_page, data)
+    except TagError as error:
+        return type(error), str(error)
+    return None
+
+
+class TestWriteBytesMatchesPageByPage:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_same_bytes_wear_and_errors(self, seed):
+        rng = random.Random(seed)
+        pages = rng.randint(4, 24)
+        endurance = rng.choice([0, 2, 3, 5])
+        fast = TagMemory(pages, write_endurance=endurance)
+        model = TagMemory(pages, write_endurance=endurance)
+        page_writes = []
+        write_page = fast.write_page
+        fast.write_page = lambda *args: page_writes.append(args) or write_page(*args)
+        lock_at = rng.choice([None, rng.randrange(40)])
+        for step in range(40):
+            if step == lock_at:
+                fast.lock()
+                model.lock()
+            start = rng.randint(-3, pages + 1)
+            size = rng.choice(
+                [0, rng.randint(1, PAGE_SIZE - 1), rng.randint(1, (pages + 2) * PAGE_SIZE)]
+            )
+            data = bytes(rng.getrandbits(8) for _ in range(size))
+            expected = outcome(write_bytes_by_page, model, start, data)
+            observed = outcome(TagMemory.write_bytes, fast, start, data)
+            assert observed == expected, (seed, step, start, size)
+            assert fast.export_state() == model.export_state(), (seed, step)
+        assert page_writes == []  # one pass, not page by page
 
 
 class TestLocking:
