@@ -20,9 +20,9 @@ Guarded rows:
   and ``co_located_window.speedup`` -- PR 5's batched-throughput
   numbers, which the cross-tag fairness work must not tax;
 * ``BENCH_fairness.json``
-  ``hot_cold_field.policies.deficit.cold_ttfs_p99_seconds`` -- the
-  deficit policy's cold-tag time-to-first-service tail: the fairness
-  property itself, guarded as a latency (lower is better);
+  ``hot_cold_field.policies.round_robin.cold_ttfs_p99_seconds`` -- the
+  round-robin quantum's cold-tag time-to-first-service tail: the
+  fairness property itself, guarded as a latency (lower is better);
 * ``BENCH_scaling.json`` ``reference_scaling.ops_per_second`` -- bulk
   reference throughput on the device reactor (loose tolerance: it is
   CPU-bound, so noisier across machines than the sleep-bound rows);
@@ -80,7 +80,7 @@ GUARDED_ROWS = [
     GuardedRow("BENCH_batching.json", "co_located_window.speedup"),
     GuardedRow(
         "BENCH_fairness.json",
-        "hot_cold_field.policies.deficit.cold_ttfs_p99_seconds",
+        "hot_cold_field.policies.round_robin.cold_ttfs_p99_seconds",
         direction="lower",
         tolerance=0.25,  # a p99 under scheduler churn: some spread expected
     ),

@@ -5,7 +5,7 @@ through one session — which is exactly wrong when several tags are
 co-present and one of them is *hot*: under a whole-tag drain (the
 ``SequentialDrainPolicy`` baseline from ``tests/conftest.py``) a deep
 backlog head-of-line blocks every neighbour until it is empty. The
-cross-tag service policies bound each tag's turn instead.
+round-robin quantum bounds each tag's turn instead.
 
 Experiment: 1 hot tag (a deep write backlog) + 7 cold tags (modest
 backlogs) enter one phone's field together, under a realistic latency
@@ -21,8 +21,9 @@ the settlement timestamps:
   every tag a near-equal share);
 * aggregate throughput and connect rounds -- fairness is not free: each
   preemption re-selects a tag and pays a fresh connect. The single-tag
-  control re-runs PR 5's co-located workload under both policies to pin
-  that the fair default costs a lone tag nothing.
+  control re-runs PR 5's co-located workload under the drain and the
+  round-robin quantum to pin that the fair default costs a lone tag
+  nothing.
 
 Emits ``BENCH_fairness.json``.
 """
@@ -57,15 +58,15 @@ TIMING = TransferTiming(
     base_seconds=0.008, seconds_per_byte=5e-5, connect_share=0.5
 )
 
-POLICY_VARIANTS = ("drain", "round_robin", "deficit")
+POLICY_VARIANTS = ("drain", "round_robin")
 
 _PAYLOAD = {}
 
 
 def tx_policy(policy: str):
     """The ``tx_policy`` for a variant name: the drain baseline is a
-    test-local class, the fair policies resolve by name."""
-    return SequentialDrainPolicy() if policy == "drain" else policy
+    test-local class, round-robin the scheduler's default."""
+    return SequentialDrainPolicy() if policy == "drain" else None
 
 
 def run_hot_cold_field(policy: str) -> dict:
@@ -203,7 +204,7 @@ def run_single_tag_control(policy: str) -> dict:
 def test_fair_policies_unblock_cold_tags(benchmark):
     results = {}
     for policy in POLICY_VARIANTS:
-        if policy == "deficit":
+        if policy == "round_robin":
             results[policy] = benchmark.pedantic(
                 run_hot_cold_field, args=(policy,), rounds=1, iterations=1
             )
@@ -233,20 +234,20 @@ def test_fair_policies_unblock_cold_tags(benchmark):
         )
     table.print()
 
-    drain, deficit = results["drain"], results["deficit"]
+    drain, fair = results["drain"], results["round_robin"]
     ttfs_improvement = (
-        drain["cold_ttfs_p99_seconds"] / deficit["cold_ttfs_p99_seconds"]
+        drain["cold_ttfs_p99_seconds"] / fair["cold_ttfs_p99_seconds"]
     )
-    # The acceptance bar: deficit-weighted scheduling cuts the cold
-    # tags' p99 time-to-first-service by at least 3x and shares the
-    # contention window near-equally.
+    # The acceptance bar: round-robin quanta cut the cold tags' p99
+    # time-to-first-service by at least 3x and share the contention
+    # window near-equally.
     assert ttfs_improvement >= 3.0
-    assert deficit["jain_index_contention_window"] >= 0.9
+    assert fair["jain_index_contention_window"] >= 0.9
     # The drain ablation really does starve: one tag owns the window.
     assert drain["jain_index_contention_window"] <= 0.5
     # Interleaving pays connects for fairness, but stays far below one
     # connect per operation.
-    assert deficit["connects"] < TOTAL_OPS / 2
+    assert fair["connects"] < TOTAL_OPS / 2
 
     _PAYLOAD["hot_cold_field"] = {
         "total_ops": TOTAL_OPS,
@@ -263,8 +264,8 @@ def test_fair_policies_unblock_cold_tags(benchmark):
 
 def test_single_tag_throughput_not_taxed_by_fairness(benchmark):
     drain = run_single_tag_control("drain")
-    deficit = benchmark.pedantic(
-        run_single_tag_control, args=("deficit",), rounds=1, iterations=1
+    fair = benchmark.pedantic(
+        run_single_tag_control, args=("round_robin",), rounds=1, iterations=1
     )
 
     table = Table(
@@ -272,24 +273,24 @@ def test_single_tag_throughput_not_taxed_by_fairness(benchmark):
         f"{CONTROL_OPS_PER_REF} writes (PR 5's workload)",
         ["policy", "seconds", "ops/s", "connects"],
     )
-    for row in (drain, deficit):
+    for row in (drain, fair):
         table.add_row(
             row["policy"], row["seconds"], row["ops_per_second"], row["connects"]
         )
     table.print()
 
     # A lone tag pays exactly one connect under either policy (the
-    # deficit quantum renews in place with nobody else waiting)...
+    # quantum renews in place with nobody else waiting)...
     assert drain["connects"] == 1
-    assert deficit["connects"] == 1
+    assert fair["connects"] == 1
     # ...and the fair default keeps aggregate throughput within 10%.
-    assert deficit["ops_per_second"] >= 0.9 * drain["ops_per_second"]
+    assert fair["ops_per_second"] >= 0.9 * drain["ops_per_second"]
 
     _PAYLOAD["single_tag_control"] = {
         "drain": drain,
-        "deficit": deficit,
+        "round_robin": fair,
         "throughput_ratio": round(
-            deficit["ops_per_second"] / drain["ops_per_second"], 3
+            fair["ops_per_second"] / drain["ops_per_second"], 3
         ),
     }
     emit_bench_json("fairness", _PAYLOAD)

@@ -47,7 +47,7 @@ class AndroidDevice:
     ) -> None:
         self.name = name
         self._env = environment
-        self._tx_policy = tx_policy  # cross-tag service policy spec
+        self._tx_policy = tx_policy  # a CrossTagPolicy, or None for round-robin
         self._port: NfcAdapterPort = environment.create_port(name, link=link)
         self._looper = Looper(name=f"{name}-main", clock=environment.clock)
         self._adapter = NfcAdapter(self, self._port)

@@ -124,9 +124,12 @@ class NfcAdapter:
                     extras={EXTRA_TAG: tag_handle, EXTRA_NDEF_MESSAGES: [message]},
                 )
             )
-        candidates.append(
-            Intent(action=ACTION_TECH_DISCOVERED, extras={EXTRA_TAG: tag_handle})
-        )
+        # As on Android, the fall-through intent of a tag that decoded
+        # carries the message too: empty, or foreign to every filter.
+        tech_extras = {EXTRA_TAG: tag_handle}
+        if message is not None:
+            tech_extras[EXTRA_NDEF_MESSAGES] = [message]
+        candidates.append(Intent(action=ACTION_TECH_DISCOVERED, extras=tech_extras))
         candidates.append(
             Intent(action=ACTION_TAG_DISCOVERED, extras={EXTRA_TAG: tag_handle})
         )

@@ -171,11 +171,17 @@ class TagDiscoverer:
             self.on_tag_redetected(reference)
             self._notify_detection("redetected", reference)
 
-    def _handle_empty_tag(self, tag: "Tag") -> None:
+    def _handle_empty_tag(
+        self, tag: "Tag", message: Optional["NdefMessage"]
+    ) -> None:
         # TECH_DISCOVERED is a fall-through action: a tag holding *foreign*
         # data (another app's MIME type) also lands here. Only genuinely
-        # empty or factory-blank tags count as empty.
-        if tag.simulated.is_ndef_formatted and not tag.simulated.is_empty:
+        # empty or factory-blank tags count as empty. ``message`` is what
+        # the platform decoded while dispatching; a formatted tag without
+        # one held a corrupt TLV.
+        if tag.simulated.is_ndef_formatted and (
+            message is None or not message.is_empty
+        ):
             return
         reference, _is_new = self._activity.reference_factory.get_or_create(
             tag,

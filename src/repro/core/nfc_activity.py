@@ -102,9 +102,11 @@ class NFCActivity(Activity):
                 discoverer._handle_tag(intent.mime_type, tag, messages[0])  # noqa: SLF001
         elif intent.action == ACTION_TECH_DISCOVERED:
             # Empty or unformatted tag: only discoverers that opted in.
+            messages = intent.get_extra(EXTRA_NDEF_MESSAGES)
+            message = messages[0] if messages else None
             for discoverer in list(self._discoverers):
                 if discoverer.accept_empty:
-                    discoverer._handle_empty_tag(tag)  # noqa: SLF001
+                    discoverer._handle_empty_tag(tag, message)  # noqa: SLF001
 
     # -- teardown ----------------------------------------------------------------------
 

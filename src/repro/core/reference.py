@@ -139,7 +139,9 @@ class BatchView(NamedTuple):
     smallest pending fence ``op_id`` (``None`` if no fence is queued);
     ``wake_at`` is when a backed-off head becomes ready again;
     ``depth`` is the logical queue depth (superseded writes included),
-    the backlog signal the deficit-weighted cross-tag policy credits by.
+    which the scheduler's telemetry records and hands to the cross-tag
+    policy; the round-robin quantum ignores it, since crediting visits
+    by depth measured no better (DESIGN.md decision 13).
     """
 
     ready: Optional[Operation]

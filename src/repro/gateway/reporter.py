@@ -54,9 +54,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 class GatewayReporter:
     """Batches one station's events toward a :class:`FleetGateway`."""
 
-    # Clock time of the last flush that delivered events. A class-level
-    # default, so a reporter that has never flushed carries no copy.
-    _last_flush_at = float("-inf")
+    # While the buffer is empty: the earliest clock time at which an event
+    # flushes at once, a whole flush_interval after the last flush. While
+    # it holds events: when they are due. A class-level default, so a
+    # reporter that has never flushed carries no copy.
+    _flush_at = float("-inf")
 
     def __init__(
         self,
@@ -155,6 +157,7 @@ class GatewayReporter:
                     tail.at_seconds = at
                     self._coalesced += count
                     return
+            opened = not buffer
             buffer.append(ScanEvent(kind, tag_uid, self.station, at, count, detail))
             depth = len(buffer)
             if depth > self._max_buffer:
@@ -163,13 +166,13 @@ class GatewayReporter:
                 depth -= 1
             if depth >= self._max_batch:
                 flush_now = True
-            elif depth == 1 and self._task is not None and self._flush_interval:
+                self._flush_at = at
+            elif opened and self._task is not None and self._flush_interval:
                 # A buffer opened after a whole interval without a flush
                 # leads one now; any other flushes an interval after this.
-                if at - self._last_flush_at >= self._flush_interval:
-                    flush_now = True
-                else:
-                    arm_timer = True
+                flush_now = at >= self._flush_at
+                arm_timer = not flush_now
+                self._flush_at = at if flush_now else at + self._flush_interval
         if shed:
             self._gateway.count_reporter_drops(shed)
         if flush_now:
@@ -185,15 +188,32 @@ class GatewayReporter:
         with self._lock:
             if not self._buffer:
                 return 0
-            batch = self._buffer
-            self._buffer = []
-            self._last_flush_at = self._clock.now()
+            batch = self._swap_locked(self._clock.now())
         self._gateway.submit_batch(batch)
         return len(batch)
 
-    def _flush_step(self) -> None:
-        self.flush()
+    def _flush_step(self) -> Optional[float]:
+        """Flush the buffer if it is due, else wait for its own deadline.
+
+        A deadline armed by a buffer that has since flushed at
+        ``max_batch`` still fires; it must not flush the next buffer
+        before that buffer is due.
+        """
+        with self._lock:
+            if not self._buffer:
+                return None
+            now = self._clock.now()
+            if now < self._flush_at:
+                return self._flush_at
+            batch = self._swap_locked(now)
+        self._gateway.submit_batch(batch)
         return None
+
+    def _swap_locked(self, now: float) -> List[ScanEvent]:
+        batch = self._buffer
+        self._buffer = []
+        self._flush_at = now + (self._flush_interval or 0.0)
+        return batch
 
     # -- middleware hooks -------------------------------------------------------------
 

@@ -67,9 +67,12 @@ class Scenario:
     ) -> AndroidDevice:
         """A phone named ``name`` in this scenario's environment.
 
-        ``reactor_mode`` takes only ``"asyncio"``, the one reactor. It
-        stays for ``perfbench/crowd_backlog.py``, which passes it, and
-        goes with that argument in the next change to ``perfbench/``.
+        ``tx_policy`` is a :class:`~repro.radio.txscheduler.CrossTagPolicy`
+        instance for the phone's radio scheduler (round-robin when
+        ``None``). ``reactor_mode`` takes only ``"asyncio"``, the one
+        reactor. It stays for ``perfbench/crowd_backlog.py``, which passes
+        it, and goes with that argument in the next change to
+        ``perfbench/``.
         """
         if reactor_mode != "asyncio":
             raise ValueError(
@@ -84,11 +87,10 @@ class Scenario:
         count: int,
         prefix: str = "phone",
         link: Optional[object] = None,
-        tx_policy: Optional[object] = None,
     ) -> List[AndroidDevice]:
         """``count`` phones named ``{prefix}-0000`` ... (crowd scenarios)."""
         return [
-            self.add_phone(f"{prefix}-{index:04d}", link=link, tx_policy=tx_policy)
+            self.add_phone(f"{prefix}-{index:04d}", link=link)
             for index in range(count)
         ]
 

@@ -16,7 +16,7 @@ raw physical layer the Android tech classes wrap:
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.clock import Clock
 from repro.errors import (
@@ -38,6 +38,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.radio.environment import RfidEnvironment
 
 BeamHandler = Callable[[str, NdefMessage], None]
+
+
+def _read_message(tag: SimulatedTag) -> NdefMessage:
+    try:
+        return tag.read_ndef()
+    except NdefError as exc:
+        raise TagFormatError(
+            f"tag {tag.uid_hex} holds undecodable NDEF data: {exc}"
+        ) from exc
+
+
+def _process_apdu(tag, data: bytes) -> bytes:
+    process = getattr(tag, "process_apdu", None)
+    if process is None:
+        raise TagFormatError(f"tag {tag.uid_hex} does not speak ISO-DEP")
+    return process(data)
 
 
 class NfcAdapterPort:
@@ -215,7 +231,9 @@ class NfcAdapterPort:
         with self._lock:
             self.read_attempts += 1
             self.connects += 1
-        return self._read_ndef_impl(tag, batched=False)
+        return self._transfer(
+            tag, "read", tag.tag_type.user_bytes, lambda: _read_message(tag)
+        )
 
     def write_ndef(self, tag: SimulatedTag, message: NdefMessage) -> None:
         """Blocking write of ``message`` onto the tag.
@@ -227,21 +245,24 @@ class NfcAdapterPort:
         with self._lock:
             self.write_attempts += 1
             self.connects += 1
-        self._write_ndef_impl(tag, message, batched=False)
+        self._transfer(
+            tag, "write", message.byte_length, lambda: tag.write_ndef(message),
+            written=message,
+        )
 
     def format_tag(self, tag: SimulatedTag) -> None:
         """Blocking NDEF format of an unformatted tag."""
         with self._lock:
             self.format_attempts += 1
             self.connects += 1
-        self._format_impl(tag, batched=False)
+        self._transfer(tag, "format", 16, tag.format)
 
     def make_read_only(self, tag: SimulatedTag) -> None:
         """Blocking lock of the tag."""
         with self._lock:
             self.lock_attempts += 1
             self.connects += 1
-        self._lock_impl(tag, batched=False)
+        self._transfer(tag, "lock", 8, tag.make_read_only)
 
     def transceive(self, tag, data: bytes) -> bytes:
         """Blocking ISO-DEP exchange: one command APDU in, response out.
@@ -253,20 +274,9 @@ class NfcAdapterPort:
         """
         with self._lock:
             self.connects += 1
-        self._require_in_field(tag)
-        with self._radio_lock:
-            self._simulate_latency(len(data) + 32, tag=tag)
-            self._require_in_field(tag, torn=True)
-            if not self._link.attempt_succeeds(
-                len(data) + 32
-            ) or not self._env.attempt_allowed(self, tag):
-                raise TagLostError(
-                    f"link to tag {tag.uid_hex} tore during transceive on {self.name}"
-                )
-            process = getattr(tag, "process_apdu", None)
-            if process is None:
-                raise TagFormatError(f"tag {tag.uid_hex} does not speak ISO-DEP")
-            return process(data)
+        return self._transfer(
+            tag, "transceive", len(data) + 32, lambda: _process_apdu(tag, data)
+        )
 
     # -- batched sessions ------------------------------------------------------------
 
@@ -276,7 +286,10 @@ class NfcAdapterPort:
         Pays the connect/anticollision share of the latency model a
         single time; every operation issued through the returned
         :class:`TagSession` then costs only the per-operation share
-        (``TransferTiming.batched_operation_seconds``). The link model is
+        (``TransferTiming.batched_operation_seconds``). A relayed tag
+        pays the transport's hop at connect and again on each operation,
+        so only on a local tag does a batch of one cost what the
+        standalone operation does. The link model is
         *not* consulted here -- it judges data transfers, one attempt
         per operation in both the standalone and the batched path, so
         seeded/scripted links observe identical attempt sequences.
@@ -294,71 +307,41 @@ class NfcAdapterPort:
         self._require_in_field(tag, torn=True)
         return TagSession(self, tag)
 
-    def _read_ndef_impl(self, tag: SimulatedTag, batched: bool) -> NdefMessage:
-        self._require_in_field(tag)
-        with self._radio_lock:
-            self._simulate_latency(
-                tag.tag_type.user_bytes, batched=batched, tag=tag
-            )
-            self._require_in_field(tag, torn=True)
-            if not self._link.attempt_succeeds(
-                tag.tag_type.user_bytes
-            ) or not self._env.attempt_allowed(self, tag):
-                raise TagLostError(
-                    f"link to tag {tag.uid_hex} tore during read on {self.name}"
-                )
-            try:
-                return tag.read_ndef()
-            except NdefError as exc:
-                raise TagFormatError(
-                    f"tag {tag.uid_hex} holds undecodable NDEF data: {exc}"
-                ) from exc
+    def _transfer(
+        self,
+        tag: SimulatedTag,
+        what: str,
+        byte_count: int,
+        effect: Callable[[], Any],
+        batched: bool = False,
+        written: Optional[NdefMessage] = None,
+    ) -> Any:
+        """One data transfer with ``tag``: the body of every tag operation.
 
-    def _write_ndef_impl(
-        self, tag: SimulatedTag, message: NdefMessage, batched: bool
-    ) -> None:
-        self._require_in_field(tag)
-        encoded_size = message.byte_length
-        with self._radio_lock:
-            self._simulate_latency(encoded_size, batched=batched, tag=tag)
-            torn = (
-                not self._env.tag_in_field(tag, self)
-                or not self._link.attempt_succeeds(encoded_size)
-                or not self._env.attempt_allowed(self, tag)
-            )
-            if torn:
-                if self.corrupt_on_tear:
-                    self._tear_write(tag, message)
-                raise TagLostError(
-                    f"link to tag {tag.uid_hex} tore during write on {self.name}"
-                )
-            tag.write_ndef(message)
-
-    def _format_impl(self, tag: SimulatedTag, batched: bool) -> None:
+        The tag must be in the field; the radio is held for the transfer
+        time (the standalone or the in-session share of the latency
+        model). The transfer then tears if the tag has gone, else if the
+        link model says so, else if the environment vetoes the attempt --
+        in that order, so the link sees one decision per transfer that
+        reached it, on either path. A torn write of ``written`` leaves
+        whatever the tag technology leaves when ``corrupt_on_tear`` is
+        set. Only an untorn transfer runs ``effect``.
+        """
         self._require_in_field(tag)
         with self._radio_lock:
-            self._simulate_latency(16, batched=batched, tag=tag)
-            self._require_in_field(tag, torn=True)
-            if not self._link.attempt_succeeds(16) or not self._env.attempt_allowed(
-                self, tag
+            self._simulate_latency(byte_count, batched=batched, tag=tag)
+            if not self._env.tag_in_field(tag, self):
+                reason = f"tag {tag.uid_hex} left the field of {self.name}"
+            elif not (
+                self._link.attempt_succeeds(byte_count)
+                and self._env.attempt_allowed(self, tag)
             ):
-                raise TagLostError(
-                    f"link to tag {tag.uid_hex} tore during format on {self.name}"
-                )
-            tag.format()
-
-    def _lock_impl(self, tag: SimulatedTag, batched: bool) -> None:
-        self._require_in_field(tag)
-        with self._radio_lock:
-            self._simulate_latency(8, batched=batched, tag=tag)
-            self._require_in_field(tag, torn=True)
-            if not self._link.attempt_succeeds(8) or not self._env.attempt_allowed(
-                self, tag
-            ):
-                raise TagLostError(
-                    f"link to tag {tag.uid_hex} tore during lock on {self.name}"
-                )
-            tag.make_read_only()
+                reason = f"link to tag {tag.uid_hex} tore on {self.name}"
+            else:
+                return effect()
+            if written is not None and self.corrupt_on_tear:
+                self._tear_write(tag, written)
+            raise TagLostError(f"{reason} during {what}")
 
     # -- Beam ----------------------------------------------------------------------
 
@@ -550,27 +533,30 @@ class TagSession:
         self._guard(tag)
         with self._port._lock:
             self._port.read_attempts += 1
-        return self._run(lambda: self._port._read_ndef_impl(tag, batched=True))
+        return self._run(
+            "read", tag.tag_type.user_bytes, lambda: _read_message(tag)
+        )
 
     def write_ndef(self, tag: SimulatedTag, message: NdefMessage) -> None:
         self._guard(tag)
         with self._port._lock:
             self._port.write_attempts += 1
-        return self._run(
-            lambda: self._port._write_ndef_impl(tag, message, batched=True)
+        self._run(
+            "write", message.byte_length, lambda: tag.write_ndef(message),
+            written=message,
         )
 
     def format_tag(self, tag: SimulatedTag) -> None:
         self._guard(tag)
         with self._port._lock:
             self._port.format_attempts += 1
-        return self._run(lambda: self._port._format_impl(tag, batched=True))
+        self._run("format", 16, tag.format)
 
     def make_read_only(self, tag: SimulatedTag) -> None:
         self._guard(tag)
         with self._port._lock:
             self._port.lock_attempts += 1
-        return self._run(lambda: self._port._lock_impl(tag, batched=True))
+        self._run("lock", 8, tag.make_read_only)
 
     # -- internals ---------------------------------------------------------------
 
@@ -586,9 +572,17 @@ class TagSession:
                 "is closed"
             )
 
-    def _run(self, thunk):
+    def _run(
+        self,
+        what: str,
+        byte_count: int,
+        effect: Callable[[], Any],
+        written: Optional[NdefMessage] = None,
+    ) -> Any:
         try:
-            result = thunk()
+            result = self._port._transfer(
+                self._tag, what, byte_count, effect, batched=True, written=written
+            )
         except (TagLostError, NotInFieldError):
             self.alive = False  # the physical link broke mid-window
             raise

@@ -21,8 +21,10 @@ once (``connect_seconds``) and then only the per-op share for each
 operation in the window (``batched_operation_seconds``) -- which is
 exactly why the per-port transaction scheduler exists. The split is a
 refinement, not a change: ``connect_seconds + batched_operation_seconds(n)
-== operation_seconds(n)``, so a batch of one costs what a standalone
-operation always did.
+== operation_seconds(n)``, so on a local tag a batch of one costs what a
+standalone operation does. A relayed tag pays the transport's hop on
+every radio round trip, the session's connect included, so its batch of
+one costs one hop more than its standalone operation.
 """
 
 from __future__ import annotations

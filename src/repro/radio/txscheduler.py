@@ -28,23 +28,21 @@ application code and the reference API never see it):
   latency still charged, and the link model still free to tear any
   individual transfer mid-batch.
 
-**Cross-tag service order is a pluggable policy** (see
+**Cross-tag service order is round-robin behind a policy seam** (see
 :class:`CrossTagPolicy`). With several tags co-present in one field, the
 original whole-tag drain served them strictly one tag at a time, so one
 hot tag (a deep backlog) head-of-line blocked its neighbours for the
-whole drain. The policies instead hand each ready tag a **bounded
-quantum** per service round and rotate (the whole-tag drain survives
-only as a test and bench baseline, ``SequentialDrainPolicy`` in
-``tests/conftest.py``):
-
-* ``"round_robin"`` — fixed equal quanta, rotated start;
-* ``"deficit"`` (the default) — deficit round-robin: each visit credits
-  the tag's deficit counter by a base quantum weighted (sublinearly,
-  bounded) by its logical queue depth, and every settled operation
-  debits the counter by ``1 + bytes/256`` — so big transfers consume
-  proportionally more of a tag's turn, backlogged tags earn slightly
-  larger quanta, and unused credit carries over (capped) while a tag
-  waits.
+whole drain. :class:`RoundRobinPolicy`, the one policy shipped, instead
+hands each ready tag a **bounded quantum** of six cost units per visit
+(an operation costs one unit plus its payload share, ``1 + bytes/256``)
+and rotates the starting tag every service round. The whole-tag drain
+survives only as a test and bench baseline (``SequentialDrainPolicy`` in
+``tests/conftest.py``). A deficit round-robin variant, crediting visits
+by queue depth and carrying unused credit over, was measured against
+this quantum and removed: six alternating ``BENCH_fairness`` runs each
+read cold-tag time-to-first-service p99 medians of 0.348 s (deficit) and
+0.343 s (round-robin), with the same 26 connects and 18 preemptions in
+every run (DESIGN.md decision 13).
 
 Fairness never taxes a lonely tag: when a quantum expires and **no other
 tag is marked ready**, the quantum is renewed in place and the open
@@ -85,7 +83,7 @@ drain loop relies on.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Hashable, Iterable, List, Optional, TYPE_CHECKING, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Optional, TYPE_CHECKING, Tuple
 
 from repro.errors import MorenaError, NotInFieldError, TagLostError
 from repro.core.operations import Operation, OperationKind
@@ -112,6 +110,10 @@ _CONNECT_RETRY_SECONDS = 0.02
 # faster than one writing 20-byte labels.
 _COST_BYTE_UNIT = 256.0
 
+# The round-robin quantum: cost units one tag may spend per visit while
+# a co-present tag waits.
+_QUANTUM_UNITS = 6.0
+
 
 def _op_cost(byte_count: int) -> float:
     """Policy cost units of one settled operation of ``byte_count`` bytes."""
@@ -119,7 +121,7 @@ def _op_cost(byte_count: int) -> float:
 
 
 def _estimate_bytes(tag: SimulatedTag, operation: Operation) -> int:
-    """Bytes a settled operation moved over the air (telemetry/deficit).
+    """Bytes a settled operation moved over the air (quantum/telemetry).
 
     Writes are sized by their encoded payload (factory-built payloads
     are unknown until transmission and count as overhead-only); reads by
@@ -139,13 +141,11 @@ def _estimate_bytes(tag: SimulatedTag, operation: Operation) -> int:
 class CrossTagPolicy:
     """How one port's radio time is shared across co-present tags.
 
-    Policy state is only ever touched from the scheduler's single serial
-    reactor task, so implementations need no locking. A policy sees
-    three moments: :meth:`begin_visit` when the drain turns to a tag
-    (returning the visit's service budget in cost units — ``math.inf``
-    means "run to exhaustion"), :meth:`consumed` after every settled
-    operation, and :meth:`reset` when a tag's queues drain empty or the
-    tag unregisters (classic DRR forgets the deficit of an idle flow).
+    The scheduler calls :meth:`begin_visit` from its single serial
+    reactor task whenever the drain turns to a tag, or renews the
+    budget of a tag alone in the field. It returns the visit's service
+    budget in cost units (see :func:`_op_cost`); ``math.inf`` means "run
+    to exhaustion". A policy keeps no per-tag state.
     """
 
     name = "?"
@@ -156,97 +156,14 @@ class CrossTagPolicy:
     def begin_visit(self, tag: SimulatedTag, depth: int) -> float:
         raise NotImplementedError
 
-    def consumed(self, tag: SimulatedTag, cost: float) -> None:
-        """``cost`` service units were spent on ``tag`` (post-settle)."""
-
-    def reset(self, tag: SimulatedTag) -> None:
-        """``tag`` went idle (queues empty) or left the scheduler."""
-
 
 class RoundRobinPolicy(CrossTagPolicy):
     """Fixed equal quanta per ready tag, rotated start each round."""
 
     name = "round_robin"
 
-    def __init__(self, quantum_ops: float = 6.0) -> None:
-        if quantum_ops <= 0:
-            raise MorenaError("quantum_ops must be positive")
-        self.quantum_ops = float(quantum_ops)
-
     def begin_visit(self, tag: SimulatedTag, depth: int) -> float:
-        return self.quantum_ops
-
-
-class DeficitPolicy(CrossTagPolicy):
-    """Deficit round-robin, credited by queue depth, debited by bytes.
-
-    Each visit credits the tag's deficit counter with
-    ``credit_ops * (1 + min(depth, depth_cap) * depth_weight)`` — a
-    mildly backlog-weighted quantum, bounded so a hot tag can never
-    monopolize a round — capped at ``carry_rounds`` worth of credit so
-    a long-waiting tag catches up without hoarding unbounded credit.
-    Settled operations debit ``1 + bytes/256`` (see :func:`_op_cost`),
-    so byte-heavy tags consume their turn proportionally faster. An
-    idle tag's deficit is forgotten (DRR's no-credit-while-idle rule).
-    """
-
-    name = "deficit"
-
-    def __init__(
-        self,
-        credit_ops: float = 6.0,
-        depth_weight: float = 1.0 / 256.0,
-        depth_cap: int = 64,
-        carry_rounds: float = 2.0,
-    ) -> None:
-        if credit_ops <= 0:
-            raise MorenaError("credit_ops must be positive")
-        self.credit_ops = float(credit_ops)
-        self.depth_weight = float(depth_weight)
-        self.depth_cap = int(depth_cap)
-        self.carry_rounds = float(carry_rounds)
-        self._deficit: Dict[SimulatedTag, float] = {}
-
-    def weight(self, depth: int) -> float:
-        return 1.0 + min(max(depth, 0), self.depth_cap) * self.depth_weight
-
-    def begin_visit(self, tag: SimulatedTag, depth: int) -> float:
-        credit = self.credit_ops * self.weight(depth)
-        cap = self.credit_ops * (1.0 + self.depth_cap * self.depth_weight)
-        cap *= self.carry_rounds
-        deficit = min(self._deficit.get(tag, 0.0) + credit, cap)
-        self._deficit[tag] = deficit
-        return deficit
-
-    def consumed(self, tag: SimulatedTag, cost: float) -> None:
-        if tag in self._deficit:
-            self._deficit[tag] -= cost
-
-    def reset(self, tag: SimulatedTag) -> None:
-        self._deficit.pop(tag, None)
-
-
-POLICIES = {
-    RoundRobinPolicy.name: RoundRobinPolicy,
-    DeficitPolicy.name: DeficitPolicy,
-}
-
-PolicySpec = Union[None, str, CrossTagPolicy]
-
-
-def make_policy(spec: PolicySpec) -> CrossTagPolicy:
-    """Resolve a policy spec: ``None`` (default), a name, or an instance."""
-    if isinstance(spec, CrossTagPolicy):
-        return spec
-    if spec is None:
-        return DeficitPolicy()
-    try:
-        return POLICIES[spec]()
-    except KeyError:
-        raise MorenaError(
-            f"unknown cross-tag scheduling policy {spec!r} "
-            f"(known: {sorted(POLICIES)})"
-        ) from None
+        return _QUANTUM_UNITS
 
 
 # -- the ready queue -----------------------------------------------------------------
@@ -408,15 +325,22 @@ class PortTransactionScheduler:
         port: "NfcAdapterPort",
         reactor: "Reactor",
         clock: "Clock",
-        policy: PolicySpec = None,
+        policy: Optional[CrossTagPolicy] = None,
     ) -> None:
+        if policy is None:
+            policy = RoundRobinPolicy()
+        elif not isinstance(policy, CrossTagPolicy):
+            raise MorenaError(
+                f"a cross-tag policy must be a CrossTagPolicy instance, "
+                f"not {policy!r}"
+            )
         self._port = port
         self._clock = clock
         self._lock = threading.Lock()
         self._references: Dict[SimulatedTag, List["TagReference"]] = {}
         self._ready = PortReadyQueue()
         self._closed = False
-        self._policy = make_policy(policy)
+        self._policy = policy
         # Statistics, exposed for tests and benchmarks. The scalar
         # counters are only mutated on the single drain task; the
         # per-tag map is additionally read/retired from other threads,
@@ -447,17 +371,6 @@ class PortTransactionScheduler:
     def policy(self) -> CrossTagPolicy:
         return self._policy
 
-    def set_policy(self, policy: PolicySpec) -> None:
-        """Swap the cross-tag service policy at runtime (per port).
-
-        The swap takes effect at the next service round; a visit already
-        in progress finishes under the budget it was granted.
-        """
-        resolved = make_policy(policy)
-        with self._lock:
-            self._policy = resolved
-        self._task.wake()
-
     # -- registration -----------------------------------------------------------
 
     def register(self, reference: "TagReference") -> None:
@@ -487,10 +400,8 @@ class PortTransactionScheduler:
             if stats is not None:
                 self._retire_locked(stats)
         # Last co-located reference gone: discard the tag's ready mark
-        # so a stale runnable key cannot wake the drain for empty batches,
-        # and drop any accumulated deficit.
+        # so a stale runnable key cannot wake the drain for empty batches.
         self._ready.discard(tag)
-        self._policy.reset(tag)
 
     def references_for(self, tag: SimulatedTag) -> List["TagReference"]:
         with self._lock:
@@ -597,13 +508,12 @@ class PortTransactionScheduler:
         radio work becomes ready (retry backoffs, preempted quanta), or
         ``None`` to idle until the next mark+wake.
         """
-        policy = self._policy
         wake: Optional[float] = None
-        for tag, generation in self._ready.snapshot(rotate=policy.rotates):
+        for tag, generation in self._ready.snapshot(rotate=self._policy.rotates):
             if not self._port.environment.tag_in_field(tag, self._port):
                 self._ready.discard(tag)
                 continue
-            tag_wake, has_pending = self._drain_tag(tag, policy)
+            tag_wake, has_pending = self._drain_tag(tag)
             if not has_pending:
                 # Only unmark if no producer re-marked mid-drain.
                 self._ready.clear(tag, generation)
@@ -611,9 +521,7 @@ class PortTransactionScheduler:
                 wake = tag_wake if wake is None else min(wake, tag_wake)
         return wake
 
-    def _drain_tag(
-        self, tag: SimulatedTag, policy: CrossTagPolicy
-    ) -> Tuple[Optional[float], bool]:
+    def _drain_tag(self, tag: SimulatedTag) -> Tuple[Optional[float], bool]:
         """One service visit: run a batched session over ``tag``'s ready
         head operations within the policy's budget.
 
@@ -623,7 +531,6 @@ class PortTransactionScheduler:
         """
         references = self.references_for(tag)
         if not references:
-            policy.reset(tag)
             return None, False
         session: Optional[TagSession] = None
         wake: Optional[float] = None
@@ -640,15 +547,13 @@ class PortTransactionScheduler:
                 ]
                 views = [(r, v) for r, v in views if v.head_id is not None]
                 if not views:
-                    # Queues drained: an idle tag accrues no deficit.
-                    policy.reset(tag)
                     return None, has_pending
                 has_pending = True
                 depth = sum(view.depth for _, view in views)
                 depth_seen = max(depth_seen, depth)
 
                 if budget is None:
-                    budget = policy.begin_visit(tag, depth)
+                    budget = self._policy.begin_visit(tag, depth)
                 elif budget <= 0.0:
                     if self._ready.has_other(tag):
                         # Quantum spent and a co-present tag is waiting:
@@ -660,7 +565,7 @@ class PortTransactionScheduler:
                     # Alone in the field: renew the quantum in place and
                     # keep the session — fairness costs nothing when
                     # there is nobody to be fair to.
-                    budget = policy.begin_visit(tag, depth)
+                    budget = self._policy.begin_visit(tag, depth)
 
                 # The fence barrier: the oldest pending fence among all
                 # of the tag's references. Nothing enqueued after it may
@@ -714,9 +619,7 @@ class PortTransactionScheduler:
                     self.batched_ops += 1
                     served_ops += 1
                     served_bytes += op_bytes
-                    cost = _op_cost(op_bytes)
-                    budget -= cost
-                    policy.consumed(tag, cost)
+                    budget -= _op_cost(op_bytes)
                     if session.operations > self.max_batch:
                         self.max_batch = session.operations
                 # "retry": the transfer tore — the session died with it

@@ -79,7 +79,10 @@ class TestTagDispatch:
         activity = phone.start_activity(CollectingActivity)
         env.move_tag_into_field(make_tag(content=msg(mime="x/y")), phone.port)
         assert activity.intents.wait_for_count(1)
-        assert activity.intents.snapshot()[0].action == ACTION_TECH_DISCOVERED
+        intent = activity.intents.snapshot()[0]
+        assert intent.action == ACTION_TECH_DISCOVERED
+        # The message decoded during dispatch rides along, as on Android.
+        assert intent.get_extra(EXTRA_NDEF_MESSAGES) == [msg(mime="x/y")]
 
     def test_each_tap_dispatches_again(self, env, phone):
         activity = phone.start_activity(CollectingActivity)

@@ -110,8 +110,8 @@ class SequentialDrainPolicy(CrossTagPolicy):
     Maximum batching (one connect per tag per window), but a deep
     backlog on one tag head-of-line blocks every co-present neighbour
     for the entire drain. Not a production policy: the fairness tests
-    and benches pass an instance as ``tx_policy`` to show what the fair
-    policies beat.
+    and benches pass an instance as ``tx_policy`` to show what the
+    round-robin quantum beats.
     """
 
     name = "drain"

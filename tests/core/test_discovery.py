@@ -9,6 +9,7 @@ from repro.core.converters import (
 )
 from repro.core.discovery import TagDiscoverer
 from repro.core.nfc_activity import NFCActivity
+from repro.errors import NdefError
 from repro.ndef.message import NdefMessage
 from repro.tags.factory import make_tag
 
@@ -139,6 +140,43 @@ class TestEmptyTags:
         scenario.put(make_tag(formatted=False), phone)
         assert app.discoverer.log.wait_for_count(1)
         assert app.discoverer.log.snapshot()[0][0] == "empty"
+
+    def test_blank_tag_detection_decodes_once(self, scenario, phone, monkeypatch):
+        """Emptiness is decided from the message the adapter decoded
+        while dispatching, not from a second read of the tag."""
+
+        class EmptyApp(DiscovererApp):
+            DISCOVERER_KWARGS = {"accept_empty": True}
+
+        app = scenario.start(phone, EmptyApp)
+        decodes = []
+        decode = NdefMessage.from_bytes
+        monkeypatch.setattr(
+            NdefMessage,
+            "from_bytes",
+            staticmethod(lambda raw: decodes.append(raw) or decode(raw)),
+        )
+        scenario.put(make_tag(), phone)
+        assert app.discoverer.log.wait_for_count(1)
+        assert phone.sync()
+        assert app.discoverer.log.snapshot()[0][0] == "empty"
+        assert len(decodes) == 1
+
+    @pytest.mark.parametrize("content", ["foreign", "corrupt"])
+    def test_foreign_and_corrupt_tags_are_not_empty(self, scenario, phone, content):
+        class EmptyApp(DiscovererApp):
+            DISCOVERER_KWARGS = {"accept_empty": True}
+
+        app = scenario.start(phone, EmptyApp)
+        tag = text_tag("someone else's data", mime_type="other/type")
+        if content == "corrupt":
+            # What a torn write leaves on a Type 2 tag: a truncated TLV.
+            tag._tear_write_hook(text_message("a replacement"))  # noqa: SLF001
+            with pytest.raises(NdefError):
+                tag.read_ndef()
+        scenario.put(tag, phone)
+        assert phone.sync()
+        assert len(app.discoverer.log) == 0
 
 
 class TestCheckCondition:

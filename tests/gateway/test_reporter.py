@@ -335,25 +335,29 @@ def replay(times, interval, max_batch=64, max_buffer=512, flushed_at=None):
 def fixed_delay_flushes(times, interval, max_batch):
     """The rule before the leading edge, as (instant, batch size): a
     buffer's first event arms a flush ``interval`` later, and the
-    ``max_batch``-th event flushes at once."""
-    flushes, timers, depth = [], [], 0
+    ``max_batch``-th event flushes at once. A timer flushes only the
+    buffer that armed it."""
+    flushes, timers, depth, buffer = [], [], 0, 0
+
+    def flush(at):
+        nonlocal depth, buffer
+        flushes.append((at, depth))
+        depth = 0
+        buffer += 1
 
     def fire_until(now):
-        nonlocal depth
-        while timers and timers[0] <= now:
-            due = heapq.heappop(timers)
-            if depth:
-                flushes.append((due, depth))
-                depth = 0
+        while timers and timers[0][0] <= now:
+            due, armed_by = heapq.heappop(timers)
+            if armed_by == buffer and depth:
+                flush(due)
 
     for at in times:
         fire_until(at)
         depth += 1
         if depth >= max_batch:
-            flushes.append((at, depth))
-            depth = 0
+            flush(at)
         elif depth == 1:
-            heapq.heappush(timers, at + interval)
+            heapq.heappush(timers, (at + interval, buffer))
     fire_until(float("inf"))
     return flushes
 
@@ -380,35 +384,57 @@ class TestLeadingEdgeProperties:
     INTERVAL = 0.05
     EPS = 1e-9
 
-    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("seed", range(60))
     def test_delivery_bound_spacing_and_accounting(self, seed):
         rng = random.Random(seed)
         times = record_times(rng, 80, self.INTERVAL, quiet_share=0.2)
-        max_buffer = rng.choice([4, 8, 512])
+        if seed < 40:
+            max_buffer = rng.choice([4, 8, 512])
+            max_batch = max_buffer + 1  # out of reach: every flush is timed
+        else:
+            max_buffer, max_batch = 512, rng.choice([3, 7])
         reporter, sink = replay(
-            times, self.INTERVAL, max_batch=max_buffer + 1, max_buffer=max_buffer
+            times, self.INTERVAL, max_batch=max_batch, max_buffer=max_buffer
         )
+        timed = sink.timed_batches()
         # Every delivered event arrived within one interval of its record.
-        for at, batch in sink.timed_batches():
+        for at, batch in timed:
             for event in batch:
                 assert at - event.at_seconds <= self.INTERVAL + self.EPS, seed
-        # Interval flushes (here every flush: the threshold is out of
-        # reach) stay at least one interval apart.
-        for before, after in zip(sink.instants, sink.instants[1:]):
-            assert after - before >= self.INTERVAL - self.EPS, seed
+        # A flush that max_batch did not cause comes at least one
+        # interval after the previous flush, whatever caused that one.
+        for (before, _batch), (after, batch) in zip(timed, timed[1:]):
+            if len(batch) < max_batch:
+                assert after - before >= self.INTERVAL - self.EPS, seed
         delivered = sum(event.count for event in sink.delivered)
         assert reporter.recorded == delivered + reporter.dropped == len(times)
         assert reporter.pending == 0
         if reporter.dropped:
             return  # a shed first event hides when its buffer began
-        # A buffer whose first event found no flush within the last
-        # interval flushes at that event; any other, an interval after it.
+        # A full buffer flushes at its max_batch-th event; one whose first
+        # event found no flush within the last interval flushes at that
+        # event; any other, an interval after it.
         previous = float("-inf")
-        for at, batch in sink.timed_batches():
+        for at, batch in timed:
             first = batch[0].at_seconds
-            quiet = first - previous >= self.INTERVAL
-            assert at == (first if quiet else first + self.INTERVAL), seed
+            if len(batch) >= max_batch:
+                expected = batch[-1].at_seconds
+            elif first - previous >= self.INTERVAL:
+                expected = first
+            else:
+                expected = first + self.INTERVAL
+            assert at == expected, seed
             previous = at
+
+    def test_stale_deadline_does_not_flush_the_next_buffer(self):
+        """The first buffer fills at max_batch before its deadline; that
+        deadline still fires and must leave the next buffer alone."""
+        times = [1.001, 1.002, 1.003, 1.010, 1.052]
+        _reporter, sink = replay(
+            times, self.INTERVAL, max_batch=3, flushed_at=1.000
+        )
+        observed = [(at, len(batch)) for at, batch in sink.timed_batches()]
+        assert observed == [(1.003, 3), (pytest.approx(1.060), 2)]
 
     @pytest.mark.parametrize("seed", range(40))
     def test_never_quiet_reporter_flushes_as_before(self, seed):

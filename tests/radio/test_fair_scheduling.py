@@ -1,10 +1,10 @@
 """Cross-tag fair scheduling: policies, quanta, fences, tears, telemetry.
 
 With several tags co-present in one field, the transaction scheduler
-shares the radio under a pluggable policy. These tests pin the policy
-mechanics (deficit credit/debit, quantum renewal when alone), the
-isolation guarantees (fences and tears are strictly per tag), and the
-per-tag service telemetry.
+shares the radio under a policy: round-robin quanta unless a test passes
+its own. These tests pin the policy mechanics (byte-weighted cost,
+quantum renewal when alone), the isolation guarantees (fences and tears
+are strictly per tag), and the per-tag service telemetry.
 """
 
 import math
@@ -17,14 +17,7 @@ from repro.core.reference import TagReference
 from repro.android.nfc.tech import Tag
 from repro.errors import MorenaError
 from repro.radio.link import ScriptedLink
-from repro.radio.txscheduler import (
-    POLICIES,
-    CrossTagPolicy,
-    DeficitPolicy,
-    RoundRobinPolicy,
-    _op_cost,
-    make_policy,
-)
+from repro.radio.txscheduler import CrossTagPolicy, RoundRobinPolicy, _op_cost
 
 from tests.conftest import (
     PlainNfcActivity,
@@ -44,30 +37,6 @@ def co_located_refs(activity, tag, phone, count):
     ]
 
 
-class TestPolicyRegistry:
-    def test_default_is_deficit(self):
-        assert isinstance(make_policy(None), DeficitPolicy)
-
-    def test_names_resolve(self):
-        assert isinstance(make_policy("round_robin"), RoundRobinPolicy)
-        assert isinstance(make_policy("deficit"), DeficitPolicy)
-        assert set(POLICIES) == {"round_robin", "deficit"}
-
-    def test_instances_pass_through(self):
-        policy = RoundRobinPolicy(quantum_ops=3)
-        assert make_policy(policy) is policy
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(MorenaError, match="unknown cross-tag"):
-            make_policy("fifo")
-
-    def test_invalid_quanta_rejected(self):
-        with pytest.raises(MorenaError):
-            RoundRobinPolicy(quantum_ops=0)
-        with pytest.raises(MorenaError):
-            DeficitPolicy(credit_ops=-1)
-
-
 class TestPolicyMechanics:
     def test_op_cost_scales_with_bytes(self):
         assert _op_cost(0) == 1.0
@@ -80,62 +49,26 @@ class TestPolicyMechanics:
         assert not policy.rotates
 
     def test_round_robin_budget_ignores_depth(self):
-        policy = RoundRobinPolicy(quantum_ops=4)
-        assert policy.begin_visit("tag", depth=1) == 4.0
-        assert policy.begin_visit("tag", depth=1_000) == 4.0
+        policy = RoundRobinPolicy()
+        assert policy.begin_visit("tag", depth=1) == 6.0
+        assert policy.begin_visit("tag", depth=1_000) == 6.0
         assert policy.rotates
-
-    def test_deficit_credits_by_depth_sublinearly(self):
-        policy = DeficitPolicy(credit_ops=6.0)
-        shallow = policy.begin_visit("a", depth=1)
-        deep = policy.begin_visit("b", depth=64)
-        # Deeper backlog earns a strictly larger but *bounded* quantum:
-        # the hot tag can never monopolize a round.
-        assert shallow < deep
-        assert deep <= shallow * 1.5
-        # The depth weight saturates at the cap.
-        assert policy.begin_visit("c", depth=10_000) == pytest.approx(deep)
-
-    def test_deficit_carries_over_and_is_capped(self):
-        policy = DeficitPolicy(credit_ops=6.0, carry_rounds=2.0)
-        first = policy.begin_visit("a", depth=0)
-        # Nothing consumed: the next visit carries the unused credit.
-        second = policy.begin_visit("a", depth=0)
-        assert second > first
-        # But never beyond carry_rounds of the max per-visit credit.
-        for _ in range(50):
-            budget = policy.begin_visit("a", depth=0)
-        cap = policy.credit_ops * policy.weight(policy.depth_cap)
-        assert budget <= cap * policy.carry_rounds + 1e-9
-
-    def test_deficit_debits_and_resets(self):
-        policy = DeficitPolicy(credit_ops=6.0)
-        policy.begin_visit("a", depth=0)
-        policy.consumed("a", 4.0)
-        assert policy._deficit["a"] == pytest.approx(2.0)
-        policy.reset("a")
-        assert "a" not in policy._deficit
 
 
 class TestPolicySelection:
-    def test_device_policy_kwarg_reaches_the_scheduler(self, scenario):
-        phone = scenario.add_phone("rr-phone", tx_policy="round_robin")
+    def test_scenario_default_is_round_robin(self, phone):
+        assert isinstance(phone.tx_scheduler.policy, RoundRobinPolicy)
         assert phone.tx_scheduler.policy.name == "round_robin"
 
-    def test_scenario_default_is_deficit(self, phone):
-        assert phone.tx_scheduler.policy.name == "deficit"
-
-    def test_set_policy_swaps_at_runtime(self, phone):
-        scheduler = phone.tx_scheduler
-        scheduler.set_policy("round_robin")
-        assert scheduler.policy.name == "round_robin"
-        with pytest.raises(MorenaError):
-            scheduler.set_policy("nope")
-        assert scheduler.policy.name == "round_robin"
+    @pytest.mark.parametrize("spec", ["deficit", "round_robin", RoundRobinPolicy])
+    def test_policy_that_is_not_an_instance_is_rejected(self, scenario, spec):
+        phone = scenario.add_phone("named-phone", tx_policy=spec)
+        with pytest.raises(MorenaError, match="CrossTagPolicy instance"):
+            phone.tx_scheduler
 
 
 class TestCrossTagInterleaving:
-    def test_deficit_serves_cold_tag_before_hot_backlog_drains(self):
+    def test_quantum_serves_cold_tag_before_hot_backlog_drains(self):
         """1 hot tag with a deep backlog + 1 cold tag with one write:
         the cold write must not wait for the whole hot drain. Real (small)
         per-op latency keeps the hot drain from finishing before the
@@ -164,8 +97,8 @@ class TestCrossTagInterleaving:
             scenario.env.move_tags_into_field([hot_tag, cold_tag], phone.port)
             assert order.wait_for_count(25, timeout=30)
             events = order.snapshot()
-            # The cold write landed within the first deficit quantum's
-            # reach, far before the hot backlog drained.
+            # The cold write landed within the first quantum's reach,
+            # far before the hot backlog drained.
             assert events.index("c0") < events.index("h23")
             assert events.index("c0") <= 16
 
@@ -183,7 +116,7 @@ class TestCrossTagInterleaving:
         refs = [co_located_refs(activity, tag, phone, 1)[0] for tag in tags]
         done = EventLog()
         for ref in refs:
-            for index in range(12):  # two deficit quanta per tag
+            for index in range(12):  # two quanta per tag
                 ref.write(
                     f"v{index}", coalesce=False, on_written=lambda _r: done.append(1)
                 )
@@ -245,7 +178,7 @@ class TestCrossTagInterleaving:
     def test_preemption_counted_and_connects_paid_per_visit(
         self, scenario, phone, activity
     ):
-        """Two backlogged tags under deficit: visits alternate, each
+        """Two backlogged tags under round-robin: visits alternate, each
         re-selection pays a fresh connect, preemptions are counted."""
         a_tag, b_tag = text_tag("a"), text_tag("b")
         (a,) = co_located_refs(activity, a_tag, phone, 1)
@@ -274,7 +207,7 @@ class TestCrossTagInterleaving:
         refs = co_located_refs(activity, tag, phone, 4)
         done = EventLog()
         for ref in refs:
-            for index in range(6):  # 24 ops >> deficit credit of ~6
+            for index in range(6):  # 24 ops >> a quantum of ~6
                 ref.write(
                     f"v{index}", coalesce=False, on_written=lambda _r: done.append(1)
                 )
@@ -374,7 +307,7 @@ class TestServiceTelemetry:
         scenario.env.move_tags_into_field([a_tag, b_tag], phone.port)
         assert done.wait_for_count(4)
         snapshot = phone.tx_scheduler.stats_snapshot()
-        assert snapshot["policy"] == "deficit"
+        assert snapshot["policy"] == "round_robin"
         assert snapshot["batched_ops"] == 4
         a_stats = snapshot["tags"][a_tag.uid_hex]
         b_stats = snapshot["tags"][b_tag.uid_hex]
@@ -432,8 +365,8 @@ class TestCustomPolicy:
     def test_user_defined_policy_object_is_honoured(
         self, scenario, activity
     ):
-        """The policy API is open: a custom CrossTagPolicy instance
-        plugs in through the same kwarg as the named ones."""
+        """The policy seam is open: a custom CrossTagPolicy instance
+        plugs in through the device's ``tx_policy``."""
 
         class OneOpQuantum(CrossTagPolicy):
             name = "one-op"
