@@ -10,7 +10,10 @@ order; the handcrafted app cannot even initiate a write without the tag,
 so every update costs the user one tap.
 """
 
+import gc
 import json
+import statistics
+import threading
 import time
 
 from repro.android.nfc.tech import Tag
@@ -43,6 +46,13 @@ WIFI_MIME = "application/vnd.morena.wificonfig"
 CO_LOCATED_REFS = 8
 OPS_PER_REF = 2
 CO_LOCATED_TIMING = TransferTiming(base_seconds=0.02, seconds_per_byte=1e-4)
+
+# Deep-drain experiment: one reference drains a deep queue of plain
+# writes in one tap. Work per poll must not grow with the queue, so CPU
+# per settled op at the deep size stays close to the shallow one.
+DEEP_QUEUE_SIZES = (100, 3_200)
+DEEP_QUEUE_RUNS = 3
+DEEP_QUEUE_MAX_RATIO = 1.5
 
 _PAYLOAD = {}
 
@@ -249,5 +259,81 @@ def test_co_located_references_share_one_connect_per_window(benchmark):
         "unbatched_connects": unbatched_connects,
         "speedup": round(speedup, 2),
         "per_reference_fifo": True,
+    }
+    emit_bench_json("batching", _PAYLOAD)
+
+
+def run_deep_drain(size: int) -> float:
+    """Process CPU seconds per settled op while one reference drains
+    ``size`` queued writes in one tap (no radio delay, perfect link).
+    The reference does not coalesce, so every write lands on its own."""
+    with Scenario() as scenario:
+        phone = scenario.add_phone("phone")
+        activity = scenario.start(phone, PlainNfcActivity)
+        tag = text_tag("seed")
+        reference = make_reference(activity, tag, phone)
+        written, failed = [], []
+        drained = threading.Event()
+
+        def on_written(_ref) -> None:  # runs on the looper, one at a time
+            written.append(1)
+            if len(written) == size:
+                drained.set()
+
+        for index in range(size):
+            reference.write(
+                f"w{index}",
+                on_written=on_written,
+                on_failed=failed.append,
+                timeout=600.0,
+            )
+        assert reference.pending_count == size  # queued, tag absent
+        gc.collect()  # start every run from the same collector state
+        start = time.process_time()
+        scenario.put(tag, phone)
+        # One wakeup for the whole drain, so waiting costs no CPU per op.
+        assert drained.wait(timeout=120)
+        cpu_seconds = time.process_time() - start
+        assert not failed
+        assert tag.read_ndef()[0].payload == f"w{size - 1}".encode()
+    return cpu_seconds / size
+
+
+def test_deep_queue_drains_at_constant_cost_per_op(benchmark):
+    shallow, deep = DEEP_QUEUE_SIZES
+
+    def measure() -> dict:
+        # Sizes alternate, so drift in the host's speed hits both alike.
+        runs = [
+            (size, run_deep_drain(size))
+            for _ in range(DEEP_QUEUE_RUNS)
+            for size in DEEP_QUEUE_SIZES
+        ]
+        return {
+            size: statistics.median(cpu for ran, cpu in runs if ran == size)
+            for size in DEEP_QUEUE_SIZES
+        }
+
+    cpu_per_op = benchmark.pedantic(measure, rounds=1, iterations=1)
+    ratio = cpu_per_op[deep] / cpu_per_op[shallow]
+
+    table = Table(
+        f"Deep-queue drain -- one reference, one tap, median of "
+        f"{DEEP_QUEUE_RUNS} runs",
+        ["queued writes", "CPU us per settled op"],
+    )
+    for size in DEEP_QUEUE_SIZES:
+        table.add_row(size, round(1e6 * cpu_per_op[size], 1))
+    table.print()
+
+    assert ratio <= DEEP_QUEUE_MAX_RATIO
+
+    _PAYLOAD["deep_queue_drain"] = {
+        "runs": DEEP_QUEUE_RUNS,
+        "shallow_ops": shallow,
+        "deep_ops": deep,
+        "shallow_cpu_us_per_op": round(1e6 * cpu_per_op[shallow], 1),
+        "deep_cpu_us_per_op": round(1e6 * cpu_per_op[deep], 1),
+        "cpu_per_op_ratio": round(ratio, 3),
     }
     emit_bench_json("batching", _PAYLOAD)

@@ -90,12 +90,18 @@ def receiver_key(call: ast.Call) -> str:
     return key
 
 
-def stmt_calls(stmt: ast.AST) -> List[ast.Call]:
+def stmt_calls(stmt: ast.AST) -> Tuple[ast.Call, ...]:
     """Calls evaluated *by this statement's header*, in source order.
 
     Nested function and lambda bodies are excluded: a callback passed
-    here executes whenever it is scheduled, not now.
+    here executes whenever it is scheduled, not now. The dataflow
+    transfer asks on every fixpoint visit of every flow rule, so the
+    tuple is kept on the statement node itself: computed once per
+    parsed tree, and freed with it.
     """
+    cached = getattr(stmt, _CALLS_ATTR, None)
+    if cached is not None:
+        return cached
     calls: List[ast.Call] = []
     for root in header_nodes(stmt):
         stack: List[ast.AST] = [root]
@@ -107,7 +113,13 @@ def stmt_calls(stmt: ast.AST) -> List[ast.Call]:
                 calls.append(node)
             stack.extend(reversed(list(ast.iter_child_nodes(node))))
     calls.sort(key=lambda c: (c.lineno, c.col_offset))
-    return calls
+    result = tuple(calls)
+    setattr(stmt, _CALLS_ATTR, result)
+    return result
+
+
+# Not an AST field: ``ast.walk``, ``ast.dump`` and the rules never see it.
+_CALLS_ATTR = "_morelint_header_calls"
 
 
 def _target_names(target: ast.AST) -> List[str]:

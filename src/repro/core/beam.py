@@ -13,12 +13,16 @@ NDEF message with its read converter and applies an optional
 from __future__ import annotations
 
 import threading
-from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Optional
 
 from repro.core.listeners import ListenerLike, as_callback
 from repro.core.nfc_activity import NFCActivity
-from repro.core.operations import Operation, OperationKind, OperationOutcome
+from repro.core.operations import (
+    Operation,
+    OperationKind,
+    OperationOutcome,
+    OperationQueue,
+)
 from repro.core.converters import (
     NdefMessageToObjectConverter,
     ObjectToNdefMessageConverter,
@@ -59,7 +63,8 @@ class Beamer:
         self._default_timeout = default_timeout
 
         self._cond = threading.Condition()
-        self._queue: Deque[Operation] = deque()
+        # Beams never coalesce or merge: the queue is FIFO with deadlines.
+        self._queue = OperationQueue()
         self._stopped = False
 
         self.attempts = 0
@@ -113,7 +118,7 @@ class Beamer:
         with self._cond:
             if self._stopped:
                 raise ReferenceStoppedError("this Beamer has been stopped")
-            self._queue.append(operation)
+            self._queue.push(operation)
             self._cond.notify_all()
         return operation
 
@@ -138,8 +143,7 @@ class Beamer:
             if self._stopped:
                 return
             self._stopped = True
-            cancelled = list(self._queue)
-            self._queue.clear()
+            cancelled = self._queue.drain()
             self._cond.notify_all()
         for operation in cancelled:
             operation.outcome = OperationOutcome.CANCELLED
@@ -156,44 +160,31 @@ class Beamer:
 
     def _event_loop(self) -> None:
         while True:
-            head: Optional[Operation] = None
             with self._cond:
                 if self._stopped:
                     return
-                self._expire_locked()
-                if not self._queue:
+                for expired in self._queue.expire(self._clock.now()):
+                    self.timeouts += 1
+                    expired.outcome = OperationOutcome.TIMED_OUT
+                    self._post(expired.on_failure)
+                head = self._queue.head
+                if head is None:
                     self._cond.wait()
                     continue
                 if not self._port.environment.peers_of(self._port):
                     self._cond.wait(_WAIT_SLICE_SECONDS)
                     continue
-                head = self._queue[0]
             succeeded = self._attempt(head)
             with self._cond:
                 if self._stopped:
                     return
-                if succeeded:
-                    if self._queue and self._queue[0] is head:
-                        self._queue.popleft()
-                    self.successes += 1
-                else:
+                if not succeeded:
                     self._cond.wait(_RETRY_INTERVAL_SECONDS)
                     continue
+                self._queue.settle(head, True)
+                self.successes += 1
             head.outcome = OperationOutcome.SUCCEEDED
             self._post(head.on_success)
-
-    def _expire_locked(self) -> None:
-        now = self._clock.now()
-        index = 0
-        while index < len(self._queue):
-            operation = self._queue[index]
-            if operation.deadline <= now:
-                del self._queue[index]
-                self.timeouts += 1
-                operation.outcome = OperationOutcome.TIMED_OUT
-                self._post(operation.on_failure)
-            else:
-                index += 1
 
     def _attempt(self, operation: Operation) -> bool:
         operation.attempts += 1

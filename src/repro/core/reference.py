@@ -25,49 +25,22 @@ Paper section 3.2. A tag reference
   (with the staleness caveat the paper spells out);
 * reports connectivity changes to registered observers.
 
+The queue rules -- FIFO, write coalescing, ``merge_key`` merges, fences,
+per-operation deadlines, revival of a superseded write and read dedup --
+live in :class:`~repro.core.operations.OperationQueue`; this class adds
+the lock, the clock, the radio attempts, the caches and the listeners.
+
 Transient radio failures (tag lost, out of field, torn/corrupt data) are
 retried silently. Permanent failures (message exceeds tag capacity, tag is
 read-only or worn out, the converter rejected the object) settle the
 operation immediately with its failure listener -- retrying cannot fix
 those.
 
-Write coalescing (opt-in via ``coalesce_writes=True`` or per-operation
-``coalesce=...``; ``Thing.save_async`` opts in by default): while a tag
-is out of range, consecutive coalescible writes at the queue tail
-collapse to the newest payload, so one tap window performs one physical
-write instead of N redundant ones. Every superseded write settles its
-success listener in FIFO order when the surviving write lands -- the tag
-then holds a state at least as new as the one each write captured. Only
-*adjacent* coalescible writes merge: a queued read, format, lock or raw
-write is a fence (the paper's in-order guarantee that a read observes
-the preceding write is preserved), and raw writes themselves never
-coalesce through this generic tail merge. Symmetrically, consecutive
-pending reads of the same rawness share one physical read and fan out
-its result (read dedup).
-
-Protocol merge hook (``write_raw(..., merge_key=...)``): protocol
-layers whose records are *replacement* state -- a lease renewal, where
-only the latest expiry matters -- may opt two tail-adjacent unsent raw
-writes carrying the same ``merge_key`` into collapsing to the newest
-message. The merge happens inside the queue lock (the protocol never
-touches the queue's privates), settles the superseded write's listener
-in FIFO order when the survivor lands, and adopts the survivor's
-deadline via the reactor's timer heap. Everything else -- a different
-or absent merge key, a read, a lock, a format, an in-flight attempt --
-remains a fence, so a guarded data write or a release never merges
-with a renewal on either side.
-
-Cancellation semantics (unified, see DESIGN.md decision 8):
-application-initiated cancellation (:meth:`TagReference.cancel`,
-:meth:`TagReference.cancel_all`) is **silent** -- the caller initiated
-it and needs no callback; no listener ever fires for those operations.
-Lifecycle teardown (:meth:`TagReference.stop`) is silent by default but
-fires the **failure listeners** of pending operations when called with
-``notify_pending=True``, because at teardown the application may need
-to flush callbacks that would otherwise wait forever. In every case a
-cancelled operation settles as ``CANCELLED`` exactly once, even when
-its radio attempt was in flight (and even if that attempt succeeds on
-the air -- the honest race of a distributed cancel).
+Cancellation (DESIGN.md decision 8) is **silent** for
+:meth:`TagReference.cancel` and :meth:`TagReference.cancel_all`;
+:meth:`TagReference.stop` fires the pending failure listeners only with
+``notify_pending=True``. Either way a cancelled operation settles as
+``CANCELLED`` exactly once, even if its radio attempt was in flight.
 """
 
 from __future__ import annotations
@@ -88,19 +61,22 @@ from repro.core.converters import (
     ObjectToNdefMessageConverter,
 )
 from repro.core.listeners import ListenerLike, as_callback
-from repro.core.operations import Operation, OperationKind, OperationOutcome
+from repro.core.operations import (
+    Operation,
+    OperationKind,
+    OperationOutcome,
+    OperationQueue,
+)
 from repro.core.scheduler import ReactorTask
 from repro.errors import (
     ConverterError,
     LooperError,
     MorenaError,
     NdefError,
-    NotInFieldError,
     RadioError,
     ReferenceStoppedError,
     TagCapacityError,
     TagFormatError,
-    TagLostError,
     TagReadOnlyError,
     TagWornOutError,
 )
@@ -117,13 +93,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 DEFAULT_TIMEOUT_SECONDS = 5.0
 DEFAULT_RETRY_INTERVAL_SECONDS = 0.02
 
-_TRANSIENT_ERRORS = (TagLostError, NotInFieldError, TagFormatError)
+_TRANSIENT_ERRORS = (RadioError, TagFormatError)
 _PERMANENT_ERRORS = (
-    TagCapacityError,
-    TagReadOnlyError,
-    TagWornOutError,
-    ConverterError,
-    NdefError,
+    TagCapacityError, TagReadOnlyError, TagWornOutError, ConverterError, NdefError
 )
 
 ConnectivityListener = Callable[["TagReference", bool], None]
@@ -134,24 +106,18 @@ class BatchView(NamedTuple):
     scheduler's drain loop (see :mod:`repro.radio.txscheduler`).
 
     ``ready`` is the head operation if it may execute right now (tag
-    presence is the scheduler's concern); ``head_id`` is the smallest
-    pending ``op_id`` including superseded writes; ``fence_id`` is the
-    smallest pending fence ``op_id`` (``None`` if no fence is queued);
-    ``wake_at`` is when a backed-off head becomes ready again;
-    ``depth`` is the logical queue depth (superseded writes included),
-    which the scheduler's telemetry records and hands to the cross-tag
-    policy; the round-robin quantum ignores it, since crediting visits
-    by depth measured no better (DESIGN.md decision 13).
+    presence is the scheduler's concern); ``head_id`` and ``fence_id``
+    are the queue's (see :class:`~repro.core.operations.OperationQueue`);
+    ``wake_at`` is when a backed-off head becomes ready again.
     """
 
     ready: Optional[Operation]
     head_id: Optional[int]
     fence_id: Optional[int]
     wake_at: Optional[float]
-    depth: int
 
 
-_EMPTY_BATCH_VIEW = BatchView(None, None, None, None, 0)
+_EMPTY_BATCH_VIEW = BatchView(None, None, None, None)
 
 
 class TagReference:
@@ -182,7 +148,6 @@ class TagReference:
         "_stopped",
         "_cached_object",
         "_cached_message",
-        "_has_cache",
         "_connected",
         "_connectivity_listeners",
         "_telemetry_listeners",
@@ -222,15 +187,12 @@ class TagReference:
         # A plain lock, not a condition: nothing waits on a reference --
         # its logical loop parks on the reactor's timer heap.
         self._lock = threading.Lock()
-        # A plain list: queues are short (pending ops per reference), the
-        # rare pop(0) shift is noise next to a radio round-trip, and a
-        # list's empty footprint is a tenth of a deque's — which matters
-        # at 100k idle references each holding a (near-)empty queue.
-        self._queue: List[Operation] = []
+        # Created by the first enqueue: at 100k idle references, a queue
+        # per reference that never queued anything is real memory.
+        self._queue: Optional[OperationQueue] = None
         self._stopped = False
         self._cached_object: Any = None
         self._cached_message: Optional[NdefMessage] = None
-        self._has_cache = False
         self._connectivity_listeners: List[ConnectivityListener] = []
         # Lazily created (None until the first add): at 100k idle
         # references an empty list per instance is real memory.
@@ -258,9 +220,7 @@ class TagReference:
         # reference can also be created for an already-departed tag --
         # query the field so the first connectivity transition a
         # listener sees is never against a stale initial state.
-        self._connected = self._port.environment.tag_in_field(
-            tag.simulated, self._port
-        )
+        self._connected = self.is_connected
         # Last: a field event may be dispatched the moment the listener
         # is registered, and its handler needs every slot above.
         self._port.add_tag_listener(tag.simulated, self._on_field_event)
@@ -309,7 +269,7 @@ class TagReference:
 
     @property
     def has_cache(self) -> bool:
-        return self._has_cache
+        return self._cached_message is not None
 
     def __repr__(self) -> str:
         return (
@@ -406,11 +366,9 @@ class TagReference:
         does not succeed within ``timeout`` seconds (the reference default
         when omitted), ``on_failed(ref)`` runs instead.
         """
-        operation = self._make_operation(
-            OperationKind.READ, on_read, on_failed, timeout
+        return self._enqueue(
+            self._make_operation(OperationKind.READ, on_read, on_failed, timeout)
         )
-        self._enqueue(operation)
-        return operation
 
     def write(
         self,
@@ -427,29 +385,23 @@ class TagReference:
         time). Conversion failures settle the operation at once via
         ``on_failed``; radio failures are retried until the timeout.
 
-        ``coalesce`` marks the write as coalescible (defaulting to the
-        reference's ``coalesce_writes`` setting): while queued and not
-        yet attempted, it may be superseded by a newer coalescible write
-        -- one physical write lands the newest payload and the
-        superseded writes settle success in FIFO order. Coalescing only
-        merges *adjacent* coalescible writes at the queue tail; a queued
-        read (or any other operation kind) is a fence, preserving the
-        in-order guarantee that a read observes the preceding write.
+        ``coalesce`` (default: the reference's ``coalesce_writes``) lets
+        a newer coalescible write queued right behind this one supersede
+        it before it is sent: one physical write lands the newest
+        payload, and both listeners fire in FIFO order. See
+        :class:`~repro.core.operations.OperationQueue` for the rules.
         """
         operation = self._make_operation(
-            OperationKind.WRITE, on_written, on_failed, timeout
+            OperationKind.WRITE, on_written, on_failed, timeout,
+            coalescible=self._coalesce_writes if coalesce is None else coalesce,
+            original_object=obj,
         )
-        operation.coalescible = (
-            self._coalesce_writes if coalesce is None else coalesce
-        )
-        operation.original_object = obj
         try:
             operation.payload = self._write_converter.convert(obj)
         except ConverterError as exc:
             self._settle(operation, OperationOutcome.FAILED, exc)
             return operation
-        self._enqueue(operation)
-        return operation
+        return self._enqueue(operation)
 
     def read_raw(
         self,
@@ -465,12 +417,11 @@ class TagReference:
         application data -- like :mod:`repro.leasing` -- use this to work
         at the NDEF level regardless of the reference's converters.
         """
-        operation = self._make_operation(
-            OperationKind.READ, on_read, on_failed, timeout
+        return self._enqueue(
+            self._make_operation(
+                OperationKind.READ, on_read, on_failed, timeout, raw=True
+            )
         )
-        operation.raw = True
-        self._enqueue(operation)
-        return operation
 
     def write_raw(
         self,
@@ -489,14 +440,11 @@ class TagReference:
         (leasing and friends) depend on every message physically
         reaching the tag.
 
-        ``merge_key`` is the sanctioned protocol merge hook: when the
-        queue tail is an unsent raw write carrying the *same* key, the
-        two collapse to this (newest) message -- the protocol's own
-        latest-record-wins rule, e.g. a lease renewal replacing a
-        pending renewal's expiry. The superseded write's success
-        listener still fires, in FIFO order, when the survivor lands;
-        any other queued operation is a fence. Never pass a merge key
-        for records that must each reach the tag.
+        ``merge_key`` is the protocol merge hook: an unsent raw write at
+        the queue tail carrying the *same* key is superseded by this one
+        (latest record wins, e.g. a lease renewal's expiry), and its
+        listener still fires first. Never pass a merge key for records
+        that must each reach the tag.
 
         ``message_factory`` (mutually exclusive with ``message``)
         defers building the message to transmission time: it is called
@@ -512,15 +460,13 @@ class TagReference:
             )
         if message is not None and not isinstance(message, NdefMessage):
             raise MorenaError("write_raw expects an NdefMessage")
-        operation = self._make_operation(
-            OperationKind.WRITE, on_written, on_failed, timeout
+        return self._enqueue(
+            self._make_operation(
+                OperationKind.WRITE, on_written, on_failed, timeout, raw=True,
+                payload=message, payload_factory=message_factory,
+                merge_key=merge_key,
+            )
         )
-        operation.raw = True
-        operation.payload = message
-        operation.payload_factory = message_factory
-        operation.merge_key = merge_key
-        self._enqueue(operation)
-        return operation
 
     def make_read_only(
         self,
@@ -529,11 +475,9 @@ class TagReference:
         timeout: Optional[float] = None,
     ) -> Operation:
         """Schedule an asynchronous permanent lock of the tag."""
-        operation = self._make_operation(
-            OperationKind.LOCK, on_locked, on_failed, timeout
+        return self._enqueue(
+            self._make_operation(OperationKind.LOCK, on_locked, on_failed, timeout)
         )
-        self._enqueue(operation)
-        return operation
 
     def format(
         self,
@@ -547,11 +491,9 @@ class TagReference:
         ``write`` initializes a factory-blank tag safely: the write is
         never attempted before the format completed.
         """
-        operation = self._make_operation(
-            OperationKind.FORMAT, on_formatted, on_failed, timeout
+        return self._enqueue(
+            self._make_operation(OperationKind.FORMAT, on_formatted, on_failed, timeout)
         )
-        self._enqueue(operation)
-        return operation
 
     # -- cancellation -----------------------------------------------------------------------
 
@@ -567,26 +509,12 @@ class TagReference:
         honest race of a distributed cancel.
         """
         with self._lock:
-            for index, queued in enumerate(self._queue):
-                if queued is operation:
-                    del self._queue[index]
-                    # Cancelling the survivor of a coalesced chain only
-                    # cancels that one write: the superseded operations
-                    # are still pending, so the newest of them takes the
-                    # survivor's place in the queue.
-                    shadows = operation.superseded
-                    if shadows:
-                        operation.superseded = []
-                        revived = shadows.pop()
-                        revived.superseded = shadows
-                        self._queue.insert(index, revived)
-                    operation.outcome = OperationOutcome.CANCELLED
-                    return True
-                if operation in queued.superseded:
-                    queued.superseded.remove(operation)
-                    operation.outcome = OperationOutcome.CANCELLED
-                    return True
-            return False
+            # Cancelling the survivor of a coalesced chain cancels only
+            # that write: the queue revives the newest superseded one.
+            if not (self._queue and self._queue.cancel(operation)):
+                return False
+            operation.outcome = OperationOutcome.CANCELLED
+            return True
 
     def cancel_all(self) -> int:
         """Cancel every queued operation; returns how many were cancelled.
@@ -598,41 +526,16 @@ class TagReference:
         still pending, use ``stop(notify_pending=True)`` instead.
         """
         with self._lock:
-            cancelled = self._drain_queue_locked()
+            cancelled = self._queue.drain() if self._queue else []
             for operation in cancelled:
                 operation.outcome = OperationOutcome.CANCELLED
         return len(cancelled)
-
-    def _drain_queue_locked(self) -> List[Operation]:
-        """Empty the queue, returning every logical operation in FIFO
-        order (superseded writes precede their surviving write)."""
-        drained: List[Operation] = []
-        for operation in self._queue:
-            drained.extend(operation.superseded)
-            operation.superseded = []
-            drained.append(operation)
-        self._queue.clear()
-        return drained
-
-    # -- queue introspection ---------------------------------------------------------------
 
     @property
     def pending_count(self) -> int:
         """Logical pending operations, superseded writes included."""
         with self._lock:
-            return len(self._queue) + sum(
-                len(operation.superseded) for operation in self._queue
-            )
-
-    def pending_operations(self) -> List[Operation]:
-        """The pending operations in FIFO order (superseded writes
-        precede the surviving write that will settle them)."""
-        with self._lock:
-            out: List[Operation] = []
-            for operation in self._queue:
-                out.extend(operation.superseded)
-                out.append(operation)
-            return out
+            return len(self._queue) if self._queue else 0
 
     # -- lifecycle ----------------------------------------------------------------------------
 
@@ -655,16 +558,15 @@ class TagReference:
             if self._stopped:
                 return
             self._stopped = True
-            cancelled = self._drain_queue_locked()
+            cancelled = self._queue.drain() if self._queue else []
         for operation in cancelled:
             operation.outcome = OperationOutcome.CANCELLED
             if notify_pending:
                 self._post_listener(operation.on_failure, self)
         self._port.remove_tag_listener(self._tag.simulated, self._on_field_event)
         self._batch.unregister(self)
-        # Deregister rather than wake: a wake would spin up reactor
-        # threads just to observe the stop flag, and any timer entry
-        # for this task is ignored once cancelled.
+        # Deregister rather than wake: a cancelled task's timer entries
+        # are ignored, and nothing is left for a step to observe.
         self._task.cancel()
 
     # -- internals -------------------------------------------------------------------------------
@@ -675,6 +577,7 @@ class TagReference:
         on_success: ListenerLike,
         on_failure: ListenerLike,
         timeout: Optional[float],
+        **fields: Any,
     ) -> Operation:
         effective = self._default_timeout if timeout is None else timeout
         if effective <= 0:
@@ -686,47 +589,21 @@ class TagReference:
             enqueued_at=now,
             on_success=as_callback(on_success),
             on_failure=as_callback(on_failure),
+            **fields,
         )
 
-    def _enqueue(self, operation: Operation) -> None:
+    def _enqueue(self, operation: Operation) -> Operation:
         with self._lock:
             if self._stopped:
                 raise ReferenceStoppedError(
                     f"tag reference {self.uid_hex} has been stopped"
                 )
-            if operation.coalescible and self._queue:
-                tail = self._queue[-1]
-                if (
-                    tail.kind is OperationKind.WRITE
-                    and tail.coalescible
-                    and not tail.in_flight
-                ):
-                    # Collapse to the newest payload: the tail write is
-                    # superseded, and the new write inherits the duty of
-                    # settling the whole chain (FIFO) when it lands. A
-                    # tail that is not a coalescible write -- a read, a
-                    # format, a raw write, an in-flight attempt -- is a
-                    # fence and the new write simply queues behind it.
-                    self._absorb_tail_locked(operation)
-                    self.coalesced_writes += 1
-            elif operation.merge_key is not None and self._queue:
-                tail = self._queue[-1]
-                if (
-                    tail.kind is OperationKind.WRITE
-                    and tail.raw
-                    and tail.merge_key == operation.merge_key
-                    and not tail.in_flight
-                ):
-                    # Protocol merge: same-key raw writes are
-                    # replacement records, the newest message wins.
-                    # Fences are anything that breaks tail-adjacency --
-                    # a keyless raw write (guarded data, release), a
-                    # read (foreign-record observation), a lock, a
-                    # format, an in-flight attempt.
-                    self._absorb_tail_locked(operation)
-                    operation.merged = True
-                    self.protocol_merges += 1
-            self._queue.append(operation)
+            if self._queue is None:
+                self._queue = OperationQueue()
+            if self._queue.push(operation) and not operation.merged:
+                self.coalesced_writes += 1
+            elif operation.merged:
+                self.protocol_merges += 1
         if operation.merged:
             # The queue did not grow and the tail was already being
             # awaited; only the deadline may have moved. Adopt it on
@@ -734,15 +611,7 @@ class TagReference:
             self._task.schedule_at(operation.deadline)
         else:
             self._task.wake()
-
-    def _absorb_tail_locked(self, operation: Operation) -> None:
-        """Replace the queue tail with ``operation``, which inherits the
-        tail (and its chain) as superseded writes to settle FIFO."""
-        tail = self._queue.pop()
-        shadows = tail.superseded
-        tail.superseded = []
-        shadows.append(tail)
-        operation.superseded = shadows
+        return operation
 
     def _step(self) -> Optional[float]:
         """One scheduling quantum of the logical event loop.
@@ -750,19 +619,20 @@ class TagReference:
         Runs on the reactor, serialized per reference. Radio attempts
         happen on the transaction scheduler's drain; this task only
         expires deadlines and reports readiness, then parks on the
-        earliest pending deadline so timeouts fire even while the
+        queue's deadline bound so timeouts fire even while the
         scheduler has nothing to drain (absent tag, backoff). It never
         sleeps: an absent tag's wait occupies no thread and cannot
         starve other references.
         """
         with self._lock:
-            if self._stopped:
+            queue = self._queue
+            if self._stopped or not queue:
                 return None
-            self._expire_locked()
-            if not self._queue:
+            self._time_out(queue, self._clock.now())
+            if not queue:
                 return None
-            runnable = self._tag_present()
-            deadline = self._earliest_deadline_locked()
+            runnable = self.is_connected
+            deadline = queue.deadline_bound
         if runnable:
             # Outside the queue lock: the scheduler takes its own lock
             # and wakes its reactor task.
@@ -775,44 +645,26 @@ class TagReference:
         Called by the transaction scheduler's drain loop; see
         :class:`BatchView` for the fields and
         :meth:`Operation.is_batch_fence` for the fence rules the
-        scheduler enforces with them.
+        scheduler enforces with them. Constant work unless an operation
+        is due.
         """
         with self._lock:
-            if self._stopped or not self._queue:
+            queue = self._queue
+            if self._stopped or not queue:
                 return _EMPTY_BATCH_VIEW
-            self._expire_locked()
-            if not self._queue:
+            now = self._clock.now()
+            self._time_out(queue, now)
+            head = queue.head
+            if head is None:
                 return _EMPTY_BATCH_VIEW
-            head = self._queue[0]
-            head_id = head.op_id
-            if head.superseded:
-                head_id = min(head_id, head.superseded[0].op_id)
-            # First fence in queue order carries the smallest fence id:
-            # op_ids grow along the queue, and a superseded write is
-            # always newer than everything queued ahead of its survivor.
-            fence_id: Optional[int] = None
-            for operation in self._queue:
-                ids = [
-                    shadow.op_id
-                    for shadow in operation.superseded
-                    if shadow.is_batch_fence
-                ]
-                if operation.is_batch_fence:
-                    ids.append(operation.op_id)
-                if ids:
-                    fence_id = min(ids)
-                    break
             ready: Optional[Operation] = None
             wake_at: Optional[float] = None
             if not head.in_flight:
-                if self._clock.now() >= self._batch_backoff_until:
+                if now >= self._batch_backoff_until:
                     ready = head
                 else:
                     wake_at = self._batch_backoff_until
-            depth = len(self._queue) + sum(
-                len(operation.superseded) for operation in self._queue
-            )
-            return BatchView(ready, head_id, fence_id, wake_at, depth)
+            return BatchView(ready, queue.head_id, queue.fence_id, wake_at)
 
     def batch_execute(self, operation: Operation, session: "TagSession") -> str:
         """Run one head attempt through an open tag session.
@@ -826,10 +678,11 @@ class TagReference:
         timeout won the race and there is nothing to do).
         """
         with self._lock:
+            queue = self._queue
             if (
                 self._stopped
-                or not self._queue
-                or self._queue[0] is not operation
+                or queue is None
+                or queue.head is not operation
                 or operation.in_flight
             ):
                 return "skip"
@@ -840,115 +693,26 @@ class TagReference:
             if self._stopped:
                 return "skip"
             if outcome is OperationOutcome.PENDING:
-                if not self._queue or self._queue[0] is not operation:
+                if queue.head is not operation:
                     return "skip"  # cancelled mid-attempt
-                self._batch_backoff_until = (
-                    self._clock.now() + self._retry_interval
-                )
+                self._batch_backoff_until = self._clock.now() + self._retry_interval
                 return "retry"
-            before, after = self._harvest_settlements_locked(operation, outcome)
-        self._settle_batch(operation, before, after, outcome, error)
+            settled = queue.settle(operation, outcome is OperationOutcome.SUCCEEDED)
+            if outcome is OperationOutcome.SUCCEEDED:
+                self.successes += len(settled)
+                if operation.kind is OperationKind.READ:
+                    self.deduped_reads += len(settled) - 1
+            else:
+                self.permanent_failures += len(settled)
+        for companion in settled:
+            self._settle(companion, outcome, error)
         return "settled"
 
-    def _earliest_deadline_locked(self) -> float:
-        earliest = min(operation.deadline for operation in self._queue)
-        for operation in self._queue:
-            for shadow in operation.superseded:
-                if shadow.deadline < earliest:
-                    earliest = shadow.deadline
-        return earliest
-
-    def _harvest_settlements_locked(
-        self, head: Operation, outcome: OperationOutcome
-    ):
-        """Update the queue and counters after ``head`` settled.
-
-        Returns ``(before, after)``: the operations to settle with the
-        same outcome before and after ``head``, keeping listener order
-        FIFO. ``before`` is the coalesced chain ``head`` superseded;
-        ``after`` holds later queued reads settled by this attempt's
-        result (read dedup: consecutive pending reads of the same
-        rawness share one physical read -- a queued write in between is
-        a fence, because the next read must observe that write).
-        """
-        if self._queue and self._queue[0] is head:
-            self._queue.pop(0)
-        before = head.superseded
-        head.superseded = []
-        after: List[Operation] = []
-        if outcome is OperationOutcome.SUCCEEDED:
-            if head.kind is OperationKind.READ:
-                while (
-                    self._queue
-                    and self._queue[0].kind is OperationKind.READ
-                    and self._queue[0].raw == head.raw
-                ):
-                    after.append(self._queue.pop(0))
-                    self.deduped_reads += 1
-            self.successes += 1 + len(before) + len(after)
-        else:
-            self.permanent_failures += 1 + len(before)
-        return before, after
-
-    def _settle_batch(
-        self,
-        head: Operation,
-        before: List[Operation],
-        after: List[Operation],
-        outcome: OperationOutcome,
-        error: Optional[BaseException],
-    ) -> None:
-        for operation in before:
-            self._settle(operation, outcome, error)
-        self._settle(head, outcome, error)
-        for operation in after:
-            self._settle(operation, outcome, error)
-
-    def _tag_present(self) -> bool:
-        return self._port.environment.tag_in_field(self._tag.simulated, self._port)
-
-    def _expire_locked(self) -> None:
-        """Fail every pending operation whose deadline has passed.
-
-        Superseded writes keep their own deadlines: one that expires
-        before the surviving write lands times out individually. When a
-        surviving write itself expires, the chain it carries is still
-        pending -- the newest superseded write takes its place in the
-        queue (its own deadline has not passed, or it would have expired
-        first above).
-        """
-        now = self._clock.now()
-        index = 0
-        while index < len(self._queue):
-            operation = self._queue[index]
-            if operation.in_flight:
-                # A radio attempt is executing right now (the batched
-                # drain runs on another thread): hands off -- the
-                # attempt's settlement path re-examines the queue.
-                index += 1
-                continue
-            if operation.superseded:
-                remaining = []
-                for shadow in operation.superseded:
-                    if shadow.deadline <= now:
-                        self.timeouts += 1
-                        self._settle(shadow, OperationOutcome.TIMED_OUT, None)
-                    else:
-                        remaining.append(shadow)
-                operation.superseded = remaining
-            if operation.deadline <= now:
-                del self._queue[index]
-                shadows = operation.superseded
-                if shadows:
-                    operation.superseded = []
-                    revived = shadows.pop()
-                    revived.superseded = shadows
-                    self._queue.insert(index, revived)
-                    index += 1
-                self.timeouts += 1
-                self._settle(operation, OperationOutcome.TIMED_OUT, None)
-            else:
-                index += 1
+    def _time_out(self, queue: OperationQueue, now: float) -> None:
+        """Fail every operation whose deadline has passed (lock held)."""
+        for operation in queue.expire(now):
+            self.timeouts += 1
+            self._settle(operation, OperationOutcome.TIMED_OUT, None)
 
     def _attempt(self, operation: Operation, session: "TagSession"):
         """Try the head operation once through an open tag session.
@@ -961,22 +725,18 @@ class TagReference:
         try:
             if operation.kind is OperationKind.READ:
                 message = session.read_ndef(self._tag.simulated)
-                if operation.raw:
-                    self._update_message_cache(message)
-                else:
-                    converted = self._read_converter.convert(message)
-                    self._update_cache(converted, message)
+                converted = (
+                    None if operation.raw else self._read_converter.convert(message)
+                )
+                self._update_cache(converted, message, operation.raw)
             elif operation.kind is OperationKind.WRITE:
-                payload = (
+                message = (
                     operation.payload
                     if operation.payload_factory is None
                     else operation.payload_factory()
                 )
-                session.write_ndef(self._tag.simulated, payload)
-                if operation.raw:
-                    self._update_message_cache(payload)
-                else:
-                    self._update_cache(operation.original_object, payload)
+                session.write_ndef(self._tag.simulated, message)
+                self._update_cache(operation.original_object, message, operation.raw)
             elif operation.kind is OperationKind.FORMAT:
                 session.format_tag(self._tag.simulated)
             else:
@@ -987,20 +747,16 @@ class TagReference:
         except _TRANSIENT_ERRORS as exc:
             operation.error = exc
             return OperationOutcome.PENDING, exc
-        except RadioError as exc:
-            operation.error = exc
-            return OperationOutcome.PENDING, exc
 
-    def _update_cache(self, converted: Any, message: NdefMessage) -> None:
+    def _update_cache(
+        self, converted: Any, message: NdefMessage, raw: bool = False
+    ) -> None:
+        """Cache what the tag holds; a raw operation leaves the
+        converted-object cache alone."""
         with self._lock:
-            self._cached_object = converted
+            if not raw:
+                self._cached_object = converted
             self._cached_message = message
-            self._has_cache = True
-
-    def _update_message_cache(self, message: NdefMessage) -> None:
-        with self._lock:
-            self._cached_message = message
-            self._has_cache = True
 
     def _settle(
         self,
@@ -1012,15 +768,15 @@ class TagReference:
             return  # cancelled mid-attempt: stay silent
         operation.outcome = outcome
         operation.error = error if error is not None else operation.error
-        if outcome is OperationOutcome.SUCCEEDED:
-            self._post_listener(operation.on_success, self)
-        else:
-            self._post_listener(operation.on_failure, self)
+        succeeded = outcome is OperationOutcome.SUCCEEDED
+        self._post_listener(
+            operation.on_success if succeeded else operation.on_failure, self
+        )
         # Telemetry tap: inline, after the application listener is
         # posted; listeners are contract-bound to be non-blocking.
-        # Read without _lock: _settle runs inside _expire_locked with
-        # the non-reentrant lock already held, and a GIL-atomic list
-        # copy is all the snapshot needs.
+        # Read without _lock: _settle runs inside _time_out with the
+        # non-reentrant lock already held, and a GIL-atomic list copy
+        # is all the snapshot needs.
         taps = self._telemetry_listeners
         if taps:
             for tap in list(taps):

@@ -16,7 +16,6 @@ from repro.harness.crowd import (
     turnstile_rush,
     warehouse_conveyor,
 )
-from repro.harness.executor import ReplayStats, WorkloadExecutor
 from repro.harness.fuzz import (
     CrashCase,
     FuzzReport,
@@ -27,25 +26,15 @@ from repro.harness.fuzz import (
     save_case,
 )
 from repro.harness.scenario import Scenario
-from repro.harness.stats import PortStats, collect_port_stats, radio_report
 from repro.harness.user import SimulatedUser, TapStats
-from repro.harness.workload import TapWorkload, make_config_tags, make_things_payloads
 from repro.harness.report import Series, Table
 
 __all__ = [
     "Scenario",
     "SimulatedUser",
     "TapStats",
-    "TapWorkload",
-    "WorkloadExecutor",
-    "ReplayStats",
-    "make_config_tags",
-    "make_things_payloads",
     "Table",
     "Series",
-    "PortStats",
-    "collect_port_stats",
-    "radio_report",
     "ChurnEvent",
     "ChurnSchedule",
     "ChurnStats",

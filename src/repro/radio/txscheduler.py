@@ -153,7 +153,7 @@ class CrossTagPolicy:
     #: service rounds (fair policies) or keep strict ready order.
     rotates = True
 
-    def begin_visit(self, tag: SimulatedTag, depth: int) -> float:
+    def begin_visit(self, tag: SimulatedTag) -> float:
         raise NotImplementedError
 
 
@@ -162,7 +162,7 @@ class RoundRobinPolicy(CrossTagPolicy):
 
     name = "round_robin"
 
-    def begin_visit(self, tag: SimulatedTag, depth: int) -> float:
+    def begin_visit(self, tag: SimulatedTag) -> float:
         return _QUANTUM_UNITS
 
 
@@ -280,7 +280,6 @@ class TagServiceStats:
         "quanta",
         "ops",
         "bytes_moved",
-        "depth_high_water",
         "starvation_ticks",
         "first_ready_at",
         "first_service_at",
@@ -290,7 +289,6 @@ class TagServiceStats:
         self.quanta = 0  # service visits that settled at least one op
         self.ops = 0  # operations settled for this tag
         self.bytes_moved = 0  # estimated bytes over the air
-        self.depth_high_water = 0  # max logical queue depth observed
         self.starvation_ticks = 0  # visits that served nothing despite backlog
         self.first_ready_at: Optional[float] = None
         self.first_service_at: Optional[float] = None
@@ -303,7 +301,6 @@ class TagServiceStats:
             "quanta": self.quanta,
             "ops": self.ops,
             "bytes_moved": self.bytes_moved,
-            "depth_high_water": self.depth_high_water,
             "starvation_ticks": self.starvation_ticks,
             "time_to_first_service": ttfs,
         }
@@ -440,9 +437,6 @@ class PortTransactionScheduler:
         self._retired.ops += stats.ops
         self._retired.bytes_moved += stats.bytes_moved
         self._retired.starvation_ticks += stats.starvation_ticks
-        self._retired.depth_high_water = max(
-            self._retired.depth_high_water, stats.depth_high_water
-        )
         self._retired_tags += 1
 
     def _note_ready(self, tag: SimulatedTag) -> None:
@@ -538,7 +532,6 @@ class PortTransactionScheduler:
         budget: Optional[float] = None
         served_ops = 0
         served_bytes = 0
-        depth_seen = 0
         try:
             for _ in range(_DRAIN_BURST_OPS):
                 views = [
@@ -549,11 +542,9 @@ class PortTransactionScheduler:
                 if not views:
                     return None, has_pending
                 has_pending = True
-                depth = sum(view.depth for _, view in views)
-                depth_seen = max(depth_seen, depth)
 
                 if budget is None:
-                    budget = self._policy.begin_visit(tag, depth)
+                    budget = self._policy.begin_visit(tag)
                 elif budget <= 0.0:
                     if self._ready.has_other(tag):
                         # Quantum spent and a co-present tag is waiting:
@@ -565,7 +556,7 @@ class PortTransactionScheduler:
                     # Alone in the field: renew the quantum in place and
                     # keep the session — fairness costs nothing when
                     # there is nobody to be fair to.
-                    budget = self._policy.begin_visit(tag, depth)
+                    budget = self._policy.begin_visit(tag)
 
                 # The fence barrier: the oldest pending fence among all
                 # of the tag's references. Nothing enqueued after it may
@@ -629,7 +620,7 @@ class PortTransactionScheduler:
         finally:
             if session is not None:
                 session.close()
-            self._account(tag, served_ops, served_bytes, depth_seen, has_pending)
+            self._account(tag, served_ops, served_bytes, has_pending)
         # Burst cap hit with work still flowing: yield the loop and
         # resume immediately so one hot tag cannot hog it.
         return self._clock.now(), True
@@ -639,7 +630,6 @@ class PortTransactionScheduler:
         tag: SimulatedTag,
         ops: int,
         bytes_moved: int,
-        depth_seen: int,
         had_pending: bool,
     ) -> None:
         """Fold one visit's outcome into the tag's service telemetry."""
@@ -647,8 +637,6 @@ class PortTransactionScheduler:
             stats = self._tag_stats.get(tag)
             if stats is None:
                 return
-            if depth_seen > stats.depth_high_water:
-                stats.depth_high_water = depth_seen
             if ops > 0:
                 stats.quanta += 1
                 stats.ops += ops

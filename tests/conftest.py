@@ -117,5 +117,5 @@ class SequentialDrainPolicy(CrossTagPolicy):
     name = "drain"
     rotates = False
 
-    def begin_visit(self, tag, depth: int) -> float:
+    def begin_visit(self, tag) -> float:
         return math.inf

@@ -1,11 +1,10 @@
-"""Tests for the experiment harness: scenario, user, workload, report."""
+"""Tests for the experiment harness: scenario, user, report."""
 
 import pytest
 
 from repro.harness.report import Series, Table
 from repro.harness.scenario import Scenario
 from repro.harness.user import SimulatedUser
-from repro.harness.workload import TapWorkload, make_config_tags
 
 
 class TestScenario:
@@ -86,43 +85,6 @@ class TestSimulatedUser:
             assert not scenario.env.tag_in_field(tag, phone.port)
 
 
-class TestWorkload:
-    def test_seeded_workloads_are_identical(self):
-        a = TapWorkload(tag_count=5, tap_count=20, seed=7)
-        b = TapWorkload(tag_count=5, tap_count=20, seed=7)
-        assert a.events == b.events
-
-    def test_different_seeds_differ(self):
-        a = TapWorkload(tag_count=5, tap_count=20, seed=1)
-        b = TapWorkload(tag_count=5, tap_count=20, seed=2)
-        assert a.events != b.events
-
-    def test_timestamps_non_decreasing(self):
-        workload = TapWorkload(tag_count=3, tap_count=50, seed=0)
-        times = [event.at_seconds for event in workload]
-        assert times == sorted(times)
-
-    def test_tag_indices_in_range(self):
-        workload = TapWorkload(tag_count=4, tap_count=100, seed=3)
-        assert all(0 <= event.tag_index < 4 for event in workload)
-
-    def test_zero_tags_rejected(self):
-        with pytest.raises(ValueError):
-            TapWorkload(tag_count=0, tap_count=1)
-
-    def test_make_config_tags(self):
-        tags = make_config_tags(3, seed=0)
-        assert len(tags) == 3
-        payloads = [tag.read_ndef()[0].payload for tag in tags]
-        assert len(set(payloads)) == 3
-        assert b"net-0000" in payloads[0]
-
-    def test_make_config_tags_deterministic(self):
-        first = [t.read_ndef()[0].payload for t in make_config_tags(2, seed=5)]
-        second = [t.read_ndef()[0].payload for t in make_config_tags(2, seed=5)]
-        assert first == second
-
-
 class TestReport:
     def test_table_renders_aligned(self):
         table = Table("demo", ["name", "value"])
@@ -168,22 +130,3 @@ class TestSpatialScenario:
 
         with Scenario() as scenario:
             assert not isinstance(scenario.env, SpatialEnvironment)
-
-
-class TestPayloadGenerator:
-    def test_make_things_payloads_shape(self):
-        from repro.harness.workload import make_things_payloads
-
-        payloads = make_things_payloads(count=5, size_bytes=32, seed=1)
-        assert len(payloads) == 5
-        assert all(len(p) == 32 for p in payloads)
-
-    def test_make_things_payloads_seeded(self):
-        from repro.harness.workload import make_things_payloads
-
-        assert make_things_payloads(3, 16, seed=9) == make_things_payloads(
-            3, 16, seed=9
-        )
-        assert make_things_payloads(3, 16, seed=9) != make_things_payloads(
-            3, 16, seed=10
-        )

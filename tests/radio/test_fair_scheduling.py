@@ -45,13 +45,13 @@ class TestPolicyMechanics:
 
     def test_drain_budget_is_unbounded(self):
         policy = SequentialDrainPolicy()
-        assert policy.begin_visit("tag", depth=10_000) == math.inf
+        assert policy.begin_visit("tag") == math.inf
         assert not policy.rotates
 
-    def test_round_robin_budget_ignores_depth(self):
+    def test_round_robin_budget_is_a_fixed_quantum(self):
         policy = RoundRobinPolicy()
-        assert policy.begin_visit("tag", depth=1) == 6.0
-        assert policy.begin_visit("tag", depth=1_000) == 6.0
+        assert policy.begin_visit("tag") == 6.0
+        assert policy.begin_visit("other") == 6.0
         assert policy.rotates
 
 
@@ -315,7 +315,6 @@ class TestServiceTelemetry:
         assert b_stats["ops"] == 1
         assert a_stats["quanta"] >= 1
         assert a_stats["bytes_moved"] > 0
-        assert a_stats["depth_high_water"] >= 1
         assert a_stats["time_to_first_service"] >= 0.0
         assert b_stats["time_to_first_service"] >= 0.0
 
@@ -374,7 +373,7 @@ class TestCustomPolicy:
             def __init__(self):
                 self.visits = 0
 
-            def begin_visit(self, tag, depth):
+            def begin_visit(self, tag):
                 self.visits += 1
                 return 1.0
 
