@@ -87,6 +87,23 @@ class TestDelivery:
         assert operation.outcome is OperationOutcome.TIMED_OUT
         assert sender_app.beamer.timeouts == 1
 
+    def test_expired_beam_leaves_later_beams_queued(self, scenario, sender, receiver):
+        sender_phone, sender_app = sender
+        receiver_phone, receiver_app = receiver
+        log = EventLog()
+        stale = sender_app.beamer.beam(
+            "stale", on_failed=lambda: log.append("failed"), timeout=0.15
+        )
+        sender_app.beamer.beam("fresh", on_success=lambda: log.append("sent"))
+        assert log.wait_for_count(1, timeout=3)
+        assert stale.outcome is OperationOutcome.TIMED_OUT
+        assert sender_app.beamer.pending_count == 1
+        scenario.env.bring_together(sender_phone.port, receiver_phone.port)
+        assert log.wait_for_count(2)
+        assert log.snapshot() == ["failed", "sent"]
+        assert receiver_app.received.wait_for_count(1)
+        assert receiver_app.received.snapshot() == [("sender", "fresh")]
+
     def test_listeners_run_on_main_thread(self, scenario, sender, receiver):
         import threading
 
