@@ -28,6 +28,10 @@ Guarded rows:
   ``hot_cold_field.policies.round_robin.cold_ttfs_p99_seconds`` -- the
   round-robin quantum's cold-tag time-to-first-service tail: the
   fairness property itself, guarded as a latency (lower is better);
+  plus ``mixed_cohort.settle_p50_virtual_seconds`` (lower) -- the median
+  settle time of a cohort of cheap and costly visits served cheapest
+  visit first, in deterministic virtual seconds on a ManualClock (tight
+  tolerance: zero noise);
 * ``BENCH_scaling.json`` ``reference_scaling.ops_per_second`` -- bulk
   reference throughput on the device reactor (loose tolerance: it is
   CPU-bound, so noisier across machines than the sleep-bound rows);
@@ -94,6 +98,12 @@ GUARDED_ROWS = [
         "hot_cold_field.policies.round_robin.cold_ttfs_p99_seconds",
         direction="lower",
         tolerance=0.25,  # a p99 under scheduler churn: some spread expected
+    ),
+    GuardedRow(
+        "BENCH_fairness.json",
+        "mixed_cohort.settle_p50_virtual_seconds",
+        direction="lower",
+        tolerance=0.01,  # virtual seconds: deterministic, as relay_roundtrip
     ),
     GuardedRow(
         "BENCH_scaling.json",

@@ -66,32 +66,55 @@ def _build_thing(node_class):
     return root
 
 
-def _pipeline_ops_per_sec(converter, thing, iterations=400, rounds=3):
-    """Best-of-``rounds`` throughput of convert -> encode-to-wire-bytes."""
-    best = 0.0
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for _ in range(iterations):
-            converter.convert(thing).to_bytes()
-        best = max(best, iterations / (time.perf_counter() - start))
-    return best
+# Objects whose plan the encoder looks up per conversion: the root, its
+# children list and each child.
+_OBJECTS_PER_THING = 2 + _CHILDREN
+_ITERATIONS = 400
+_ROUNDS = 5
+
+
+def _pipeline_ops_per_sec(converter, thing, iterations):
+    """Throughput of one round of convert -> encode-to-wire-bytes."""
+    start = time.perf_counter()
+    for _ in range(iterations):
+        converter.convert(thing).to_bytes()
+    return iterations / (time.perf_counter() - start)
 
 
 def test_plan_cache_speedup():
     node_class = _build_node_class()
     thing = _build_thing(node_class)
     mime = "application/x-bench-node"
-    cached = ObjectToJsonConverter(mime, gson=Gson())
-    uncached = ObjectToJsonConverter(mime, gson=Gson(cache_plans=False))
+    cached_gson, uncached_gson = Gson(), Gson(cache_plans=False)
+    cached = ObjectToJsonConverter(mime, gson=cached_gson)
+    uncached = ObjectToJsonConverter(mime, gson=uncached_gson)
 
     # Identical output first -- the cache must be a pure fast path.
     assert cached.convert(thing).to_bytes() == uncached.convert(thing).to_bytes()
 
-    _pipeline_ops_per_sec(cached, thing, iterations=50, rounds=1)  # warm-up
-    _pipeline_ops_per_sec(uncached, thing, iterations=50, rounds=1)
-    cached_ops = _pipeline_ops_per_sec(cached, thing)
-    uncached_ops = _pipeline_ops_per_sec(uncached, thing)
+    _pipeline_ops_per_sec(cached, thing, iterations=50)  # warm-up
+    _pipeline_ops_per_sec(uncached, thing, iterations=50)
+    cached_misses = cached_gson.plan_misses
+    uncached_misses = uncached_gson.plan_misses
+    # Best of interleaved rounds: slow host drift lands on both sides
+    # alike instead of on whichever side ran second.
+    cached_ops = uncached_ops = 0.0
+    for _ in range(_ROUNDS):
+        cached_ops = max(
+            cached_ops, _pipeline_ops_per_sec(cached, thing, _ITERATIONS)
+        )
+        uncached_ops = max(
+            uncached_ops, _pipeline_ops_per_sec(uncached, thing, _ITERATIONS)
+        )
     speedup = cached_ops / uncached_ops
+    conversions = _ROUNDS * _ITERATIONS
+    # The counts behind the ratio: the cache never recomputes a plan,
+    # and the baseline recomputes one for every object it encodes.
+    assert cached_gson.plan_misses == cached_misses
+    assert (
+        uncached_gson.plan_misses - uncached_misses
+        == conversions * _OBJECTS_PER_THING
+    )
 
     table = Table(
         f"Codec pipeline: serialize -> NDEF bytes, depth-{_DEPTH} hierarchy, "

@@ -25,18 +25,27 @@ the settlement timestamps:
   round-robin quantum to pin that the fair default costs a lone tag
   nothing.
 
+A third experiment times the within-round order in exact virtual
+seconds: a cohort of cheap (one coalesced write) and costly (write,
+read, write) visits enters one field on a ``ManualClock``, and each
+settlement is stamped by a telemetry tap on the settling thread. Serving
+each round cheapest visit first settles the median operation earlier
+while the radio does the same work.
+
 Emits ``BENCH_fairness.json``.
 """
 
+import threading
 import time
 
 from repro.android.nfc.tech import Tag
+from repro.clock import ManualClock
 from repro.concurrent import EventLog
 from repro.core.reference import TagReference
 from repro.harness.report import Table
 from repro.harness.scenario import Scenario
 from repro.metrics import LatencySummary, jains_index, percentile
-from repro.radio.timing import TransferTiming
+from repro.radio.timing import NOMINAL, TransferTiming
 
 from benchmarks.conftest import emit_bench_json
 from tests.conftest import (
@@ -294,3 +303,101 @@ def test_single_tag_throughput_not_taxed_by_fairness(benchmark):
         ),
     }
     emit_bench_json("fairness", _PAYLOAD)
+
+
+# Mixed cohort: 8 NTAG215 tags with 3 coalescible writes queued each;
+# every third tag also queues a read behind its first write, so its
+# visit is write, read, write instead of one coalesced write.
+MIXED_TAGS = 8
+MIXED_WRITES = 3
+MIXED_READ_EVERY = 3
+
+
+def run_mixed_cohort(policy: str) -> dict:
+    """Bulk-enter the mixed cohort on a ManualClock under ``NOMINAL``
+    timing, a perfect link and ``policy``; returns its virtual settle
+    times."""
+    clock = ManualClock()
+    with Scenario(timing=NOMINAL, clock=clock) as scenario:
+        phone = scenario.add_phone("mixed-phone", tx_policy=tx_policy(policy))
+        activity = scenario.start(phone, PlainNfcActivity)
+        read_conv, write_conv = string_converters()
+        tags = [
+            text_tag(f"mixed-{i}", tag_type="NTAG215") for i in range(MIXED_TAGS)
+        ]
+        settled = EventLog()  # virtual settle times, stamped inline
+
+        def stamp(_ref, _operation, _outcome):
+            settled.append(clock.now())
+
+        expected = 0
+        for index, tag in enumerate(tags):
+            ref = TagReference(
+                Tag(tag, phone.port), activity, read_conv, write_conv,
+                coalesce_writes=True,
+            )
+            ref.add_telemetry_listener(stamp)
+            for write in range(MIXED_WRITES):
+                ref.write(f"m{index}-{write}", timeout=30.0)
+                expected += 1
+                if write == 0 and index % MIXED_READ_EVERY == 0:
+                    ref.read(timeout=30.0)
+                    expected += 1
+        # Let every reference's enqueue step run while its tag is away,
+        # so the cohort is marked ready in entry order.
+        parked = threading.Event()
+        phone.reactor.register(parked.set, name="barrier").wake()
+        assert parked.wait(5)
+        connects_before = phone.port.connects
+        entered_at = clock.now()
+        scenario.env.move_tags_into_field(tags, phone.port)
+        assert settled.wait_for_count(expected, timeout=30)
+        times = [at - entered_at for at in settled.snapshot()]
+        return {
+            "operations": expected,
+            "connects": phone.port.connects - connects_before,
+            "settle_p50_virtual_seconds": round(percentile(times, 50), 6),
+            "settle_last_virtual_seconds": round(max(times), 6),
+        }
+
+
+def test_cheapest_visit_first_settles_the_mixed_cohort_sooner():
+    fair = run_mixed_cohort("round_robin")
+    # Every visit fits in one quantum, so the whole-tag drain serves the
+    # cohort once each in strict ready order: the order without the sort.
+    ready_order = run_mixed_cohort("drain")
+
+    table = Table(
+        f"Mixed cohort -- {MIXED_TAGS} NTAG215 tags, {MIXED_WRITES} "
+        f"coalescible writes each, a read on one tag in {MIXED_READ_EVERY} "
+        "(ManualClock, NOMINAL timing)",
+        ["order", "settle p50 (virtual s)", "last settle (virtual s)", "connects"],
+    )
+    for name, row in (("cheapest first", fair), ("ready order", ready_order)):
+        table.add_row(
+            name,
+            f"{row['settle_p50_virtual_seconds']:.4f}",
+            f"{row['settle_last_virtual_seconds']:.4f}",
+            row["connects"],
+        )
+    table.print()
+
+    _PAYLOAD["mixed_cohort"] = {
+        "tags": MIXED_TAGS,
+        **fair,
+        "ready_order": ready_order,
+    }
+    emit_bench_json("fairness", _PAYLOAD)
+
+    # Virtual time on one phone: a second run agrees to the digit.
+    assert run_mixed_cohort("round_robin") == fair
+    # The same radio work in another order: one connect per tag and the
+    # same last settlement, but the median operation settles sooner.
+    assert fair["connects"] == ready_order["connects"] == MIXED_TAGS
+    assert fair["settle_last_virtual_seconds"] == (
+        ready_order["settle_last_virtual_seconds"]
+    )
+    assert (
+        fair["settle_p50_virtual_seconds"]
+        < ready_order["settle_p50_virtual_seconds"]
+    )

@@ -212,6 +212,11 @@ class OperationQueue:
         """A time no later than the earliest pending deadline."""
         return self._deadline_bound
 
+    def survivors(self, limit: int) -> List[Operation]:
+        """The first ``limit`` survivors, oldest first: the physical
+        operations next in line (a coalesced chain is one write)."""
+        return self._entries[:limit]
+
     def push(self, operation: Operation) -> bool:
         """Queue ``operation``; returns whether it superseded the tail."""
         entries = self._entries

@@ -666,6 +666,18 @@ class TagReference:
                     wake_at = self._batch_backoff_until
             return BatchView(ready, queue.head_id, queue.fence_id, wake_at)
 
+    def batch_peek(self, limit: int) -> List[Operation]:
+        """Up to ``limit`` pending physical operations, oldest first.
+
+        Read-only; the transaction scheduler sizes a tag's next visit by
+        them. Work grows with ``limit``, not with the queue's depth.
+        """
+        with self._lock:
+            queue = self._queue
+            if self._stopped or not queue:
+                return []
+            return queue.survivors(limit)
+
     def batch_execute(self, operation: Operation, session: "TagSession") -> str:
         """Run one head attempt through an open tag session.
 

@@ -35,14 +35,22 @@ hot tag (a deep backlog) head-of-line blocked its neighbours for the
 whole drain. :class:`RoundRobinPolicy`, the one policy shipped, instead
 hands each ready tag a **bounded quantum** of six cost units per visit
 (an operation costs one unit plus its payload share, ``1 + bytes/256``)
-and rotates the starting tag every service round. The whole-tag drain
-survives only as a test and bench baseline (``SequentialDrainPolicy`` in
-``tests/conftest.py``). A deficit round-robin variant, crediting visits
-by queue depth and carrying unused credit over, was measured against
-this quantum and removed: six alternating ``BENCH_fairness`` runs each
-read cold-tag time-to-first-service p99 medians of 0.348 s (deficit) and
-0.343 s (round-robin), with the same 26 connects and 18 preemptions in
-every run (DESIGN.md decision 13).
+and orders each service round **cheapest visit first**: a tag's visit
+cost is the cost of its pending physical operations, capped at one
+quantum. Tags that tie (among them every tag with a quantum or more of
+work) keep the ready order, whose starting tag rotates every service
+round. This is the shortest-processing-time rule, which minimises mean
+completion time on one server: the radio does the same work, but cheap
+visits settle their listeners before a long one holds the radio, and
+every ready tag still gets exactly one visit per round. The whole-tag
+drain survives only as a test and bench baseline
+(``SequentialDrainPolicy`` in ``tests/conftest.py``). A deficit
+round-robin variant, crediting visits by queue depth and carrying unused
+credit over, was measured against this quantum and removed: six
+alternating ``BENCH_fairness`` runs each read cold-tag
+time-to-first-service p99 medians of 0.348 s (deficit) and 0.343 s
+(round-robin), with the same 26 connects and 18 preemptions in every run
+(DESIGN.md decision 13).
 
 Fairness never taxes a lonely tag: when a quantum expires and **no other
 tag is marked ready**, the quantum is renewed in place and the open
@@ -82,6 +90,7 @@ drain loop relies on.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Dict, Hashable, Iterable, List, Optional, TYPE_CHECKING, Tuple
 
@@ -149,8 +158,9 @@ class CrossTagPolicy:
     """
 
     name = "?"
-    #: Whether ready-queue snapshots rotate their starting tag between
-    #: service rounds (fair policies) or keep strict ready order.
+    #: Whether each service round runs cheapest visit first, ties kept
+    #: in a ready order whose starting tag rotates between rounds (fair
+    #: policies), or keeps strict ready order.
     rotates = True
 
     def begin_visit(self, tag: SimulatedTag) -> float:
@@ -158,7 +168,7 @@ class CrossTagPolicy:
 
 
 class RoundRobinPolicy(CrossTagPolicy):
-    """Fixed equal quanta per ready tag, rotated start each round."""
+    """Fixed equal quanta per ready tag, cheapest visit first each round."""
 
     name = "round_robin"
 
@@ -185,8 +195,9 @@ class PortReadyQueue:
     a drain finds a tag idle, a reference enqueues concurrently, and a
     plain clear would eat the fresh mark — the wake that follows the
     mark would then find an empty queue and the work would sleep until
-    its timeout. Insertion order is preserved, so tags are drained in
-    the order they became ready.
+    its timeout. Insertion order is preserved, so snapshots list tags
+    in the order they became ready (a rotating scheduler then sorts each
+    round cheapest visit first, stably, so tied tags keep that order).
 
     For the fair cross-tag policies the queue additionally hands out
     **bounded per-tag quanta instead of whole-port batches**: a rotated
@@ -497,13 +508,17 @@ class PortTransactionScheduler:
     def _step(self) -> Optional[float]:
         """One scheduler round: serve every ready in-field tag a visit.
 
-        The policy decides each visit's budget; fair policies rotate the
-        starting tag between rounds. Returns the next absolute time
-        radio work becomes ready (retry backoffs, preempted quanta), or
-        ``None`` to idle until the next mark+wake.
+        The policy decides each visit's budget. A rotating policy's round
+        runs cheapest visit first (see :meth:`_visit_cost`); the sort is
+        stable, so tied tags keep the rotated ready order. Returns the
+        next absolute time radio work becomes ready (retry backoffs,
+        preempted quanta), or ``None`` to idle until the next mark+wake.
         """
         wake: Optional[float] = None
-        for tag, generation in self._ready.snapshot(rotate=self._policy.rotates):
+        ready = self._ready.snapshot(rotate=self._policy.rotates)
+        if self._policy.rotates and len(ready) > 1:
+            ready.sort(key=lambda entry: self._visit_cost(entry[0]))
+        for tag, generation in ready:
             if not self._port.environment.tag_in_field(tag, self._port):
                 self._ready.discard(tag)
                 continue
@@ -514,6 +529,21 @@ class PortTransactionScheduler:
             if tag_wake is not None:
                 wake = tag_wake if wake is None else min(wake, tag_wake)
         return wake
+
+    def _visit_cost(self, tag: SimulatedTag) -> float:
+        """Cost units of ``tag``'s next visit, capped at one quantum.
+
+        Sums :func:`_op_cost` over the pending physical operations of the
+        tag's references. Every operation costs at least one unit, so no
+        more than one quantum of them is read, however deep the queues.
+        """
+        cost = 0.0
+        for reference in self.references_for(tag):
+            for operation in reference.batch_peek(math.ceil(_QUANTUM_UNITS - cost)):
+                cost += _op_cost(_estimate_bytes(tag, operation))
+                if cost >= _QUANTUM_UNITS:
+                    return _QUANTUM_UNITS
+        return cost
 
     def _drain_tag(self, tag: SimulatedTag) -> Tuple[Optional[float], bool]:
         """One service visit: run a batched session over ``tag``'s ready

@@ -146,6 +146,12 @@ class TestAsyncThing:
         assert b'"level": 4' in tag.read_ndef()[0].payload
 
 
+# A live stream ends only when its loop breaks or the stream closes: if
+# detections never arrive (a detection handler that raises on the looper
+# is recorded there, not here), the iteration would wait forever.
+STREAM_TIMEOUT_SECONDS = 5.0
+
+
 class TestTagStream:
     def test_async_for_over_detections(self, scenario, phone, activity):
         discoverer = TagDiscoverer(activity, TEXT_TYPE, *string_converters())
@@ -153,13 +159,17 @@ class TestTagStream:
 
         async def scenario_run():
             seen = []
-            async with discoverer.stream() as stream:
-                for tag in tags:
-                    scenario.put(tag, phone)
+
+            async def collect():
                 async for reference in stream:
                     seen.append(reference.cached)
                     if len(seen) == 3:
                         break
+
+            async with discoverer.stream() as stream:
+                for tag in tags:
+                    scenario.put(tag, phone)
+                await asyncio.wait_for(collect(), STREAM_TIMEOUT_SECONDS)
             return seen
 
         assert sorted(asyncio.run(scenario_run())) == ["s0", "s1", "s2"]
@@ -171,13 +181,17 @@ class TestTagStream:
         async def scenario_run():
             stream = tag_stream(discoverer, events=("redetected",))
             collected = []
+
+            async def collect():
+                async for reference in stream:
+                    collected.append(reference.cached)
+                    stream.close()
+
             async with stream:
                 scenario.put(tag, phone)  # "detected": filtered out
                 scenario.take(tag, phone)
                 scenario.put(tag, phone)  # "redetected": delivered
-                async for reference in stream:
-                    collected.append(reference.cached)
-                    stream.close()
+                await asyncio.wait_for(collect(), STREAM_TIMEOUT_SECONDS)
             return collected
 
         assert asyncio.run(scenario_run()) == ["twice"]

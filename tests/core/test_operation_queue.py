@@ -93,6 +93,14 @@ class TestQueueRules:
         assert list(queue) == [before, plain, after]
         assert all(op.superseded is None for op in (before, plain, after))
 
+    def test_survivors_lists_physical_operations_up_to_a_limit(self):
+        older, newer = coalescible_write(), coalescible_write()
+        read, last = make_op(READ), make_op()
+        queue = queue_of(older, newer, read, last)
+        assert queue.survivors(2) == [newer, read]  # the chain is one write
+        assert queue.survivors(10) == [newer, read, last]
+        assert OperationQueue().survivors(3) == []
+
     def test_fence_stops_coalescing(self):
         older, read, newer = coalescible_write(), make_op(READ), coalescible_write()
         queue = queue_of(older, read)

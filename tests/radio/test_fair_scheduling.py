@@ -12,12 +12,19 @@ import threading
 
 import pytest
 
+from repro.clock import ManualClock
 from repro.concurrent import EventLog, wait_until
 from repro.core.reference import TagReference
 from repro.android.nfc.tech import Tag
 from repro.errors import MorenaError
+from repro.harness.scenario import Scenario
 from repro.radio.link import ScriptedLink
-from repro.radio.txscheduler import CrossTagPolicy, RoundRobinPolicy, _op_cost
+from repro.radio.txscheduler import (
+    _QUANTUM_UNITS,
+    CrossTagPolicy,
+    RoundRobinPolicy,
+    _op_cost,
+)
 
 from tests.conftest import (
     PlainNfcActivity,
@@ -216,6 +223,71 @@ class TestCrossTagInterleaving:
         assert done.wait_for_count(24)
         assert phone.port.connects - connects_before == 1
         assert phone.tx_scheduler.preemptions == 0
+
+
+class TestCheapestVisitFirst:
+    def test_round_visits_cheapest_tag_first(self):
+        """Tags A, B and C bulk-enter in that order, with a write, a read
+        and a write pending on A, one write on B and two on C: the first
+        round serves B, then C, then A, cheapest visit first."""
+        with Scenario(clock=ManualClock()) as scenario:
+            phone = scenario.add_phone("sorted-phone")
+            activity = scenario.start(phone, PlainNfcActivity)
+            tags = [text_tag(name) for name in ("a", "b", "c")]
+            a, b, c = (co_located_refs(activity, tag, phone, 1)[0] for tag in tags)
+            done = EventLog()
+
+            def note(_ref):
+                done.append(1)
+
+            a.write("a0", on_written=note)
+            a.read(on_read=note)
+            a.write("a1", on_written=note)
+            b.write("b0", on_written=note)
+            c.write("c0", coalesce=False, on_written=note)
+            c.write("c1", coalesce=False, on_written=note)
+            # Let every reference park on its absent tag first: a step
+            # still queued from the enqueues would mark its tag itself.
+            parked = threading.Event()
+            phone.reactor.register(parked.set, name="barrier").wake()
+            assert parked.wait(5)
+            port = phone.port
+            visits = []
+            open_session = port.open_session
+
+            def logged_open_session(tag):
+                visits.append("abc"[tags.index(tag)])
+                return open_session(tag)
+
+            port.open_session = logged_open_session
+            scenario.env.move_tags_into_field(tags, port)
+            assert done.wait_for_count(6)
+        assert visits == ["b", "c", "a"]
+
+    def test_visit_cost_reads_at_most_one_quantum(
+        self, scenario, phone, activity, monkeypatch
+    ):
+        """Sizing a tag's visit reads no more pending operations than one
+        quantum can hold, across its references and however deep their
+        queues."""
+        tag = text_tag("deep")
+        shallow, deep = co_located_refs(activity, tag, phone, 2)
+        for index in range(3):
+            shallow.write(f"s{index}", coalesce=False, timeout=60.0)
+        for index in range(3000):
+            deep.write(f"d{index}", coalesce=False, timeout=60.0)
+        reads = []
+        batch_peek = TagReference.batch_peek
+
+        def counted_peek(reference, limit):
+            operations = batch_peek(reference, limit)
+            reads.append(len(operations))
+            return operations
+
+        monkeypatch.setattr(TagReference, "batch_peek", counted_peek)
+        assert phone.tx_scheduler._visit_cost(tag) == _QUANTUM_UNITS
+        assert len(reads) == 2 and reads[0] == 3
+        assert sum(reads) <= _QUANTUM_UNITS
 
 
 class TestCrossTagFenceIsolation:
