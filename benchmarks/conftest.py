@@ -14,11 +14,24 @@ from __future__ import annotations
 
 import json
 import pathlib
+import time
 from typing import Any, Dict
 
 import pytest
 
 _BENCH_DIR = pathlib.Path(__file__).resolve().parent
+
+# Idle benches park a population and read the process CPU spent over one
+# window; "near zero" is under the ceiling.
+IDLE_WINDOW_SECONDS = 0.5
+IDLE_CPU_CEILING_SECONDS = 0.05
+
+
+def measure_idle_cpu() -> float:
+    """Process CPU seconds consumed while this thread sleeps one window."""
+    start = time.process_time()
+    time.sleep(IDLE_WINDOW_SECONDS)
+    return time.process_time() - start
 
 
 def emit_bench_json(name: str, payload: Dict[str, Any]) -> pathlib.Path:

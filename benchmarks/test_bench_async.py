@@ -37,7 +37,12 @@ from repro.harness.scenario import Scenario
 from repro.metrics import percentile
 from repro.tags.factory import make_tags
 
-from benchmarks.conftest import emit_bench_json
+from benchmarks.conftest import (
+    IDLE_CPU_CEILING_SECONDS,
+    IDLE_WINDOW_SECONDS,
+    emit_bench_json,
+    measure_idle_cpu,
+)
 from tests.conftest import PlainNfcActivity, string_converters
 
 ASYNCIO_REFERENCES = 100_000  # the tentpole population
@@ -45,8 +50,6 @@ ASYNCIO_REFERENCES = 100_000  # the tentpole population
 # density of thread-per-reference" floor allowed against the measured
 # 17.7 KB of a thread-per-reference reference.
 KB_PER_REFERENCE_CEILING = 1.75
-IDLE_WINDOW_SECONDS = 0.5
-IDLE_CPU_CEILING_SECONDS = 0.05  # "near zero" over the idle window
 PARK_TIMEOUT = 600.0  # pending-write timeout while tags are absent
 
 TIMER_TASKS = 400
@@ -63,13 +66,6 @@ def _rss_kb() -> int:
             if line.startswith("VmRSS:"):
                 return int(line.split()[1])
     raise RuntimeError("VmRSS not found")
-
-
-def _idle_cpu(wall_seconds: float) -> float:
-    """Process CPU seconds consumed while this thread sleeps."""
-    start = time.process_time()
-    time.sleep(wall_seconds)
-    return time.process_time() - start
 
 
 def _build_references(activity, phone, tags):
@@ -102,7 +98,7 @@ def _run_density_phase(count: int) -> dict:
         for reference in references:
             reference.write("parked", timeout=PARK_TIMEOUT)
         time.sleep(1.0 if count <= 1000 else 5.0)  # absent-tag steps drain
-        idle_cpu = _idle_cpu(IDLE_WINDOW_SECONDS)
+        idle_cpu = measure_idle_cpu()
 
         return {
             "references": count,

@@ -1,13 +1,17 @@
-"""Beam reliability ablation: queued Beamer vs one-shot push under loss.
+"""Beam benches: delivery under loss, and idle Beamers.
 
 Sweeps link loss and compares the delivery rate of MORENA's queued,
 retrying ``Beamer`` against a single raw ``push_now`` per message -- the
-Beam analogue of the section 4 retry claim.
+Beam analogue of the section 4 retry claim. Then parks 50 Beamers, each
+with a beam pending and no peer near: as reactor tasks they add no
+thread per Beamer and spend near-zero CPU while they wait.
 """
+
+import threading
 
 import pytest
 
-from repro.concurrent import EventLog
+from repro.concurrent import EventLog, wait_until
 from repro.core.beam import Beamer
 from repro.core.converters import (
     NdefMessageToStringConverter,
@@ -19,9 +23,16 @@ from repro.harness.report import Series, Table
 from repro.harness.scenario import Scenario
 from repro.radio.link import LossyLink
 
+from benchmarks.conftest import (
+    IDLE_CPU_CEILING_SECONDS,
+    IDLE_WINDOW_SECONDS,
+    measure_idle_cpu,
+)
+
 BEAM_TYPE = "application/x-bench-beam"
 MESSAGES = 20
 LOSS_LEVELS = [0.0, 0.3, 0.6]
+IDLE_BEAMERS = 50
 
 
 class Receiver(NFCActivity):
@@ -101,3 +112,32 @@ def test_beam_delivery_vs_loss(benchmark):
     # On a degraded link the one-shot path visibly drops messages.
     worst = rows[-1]
     assert worst[2] < 1.0
+
+
+def test_idle_beamers_cost_no_thread_and_no_cpu():
+    with Scenario() as scenario:
+        phone = scenario.add_phone("idle-sender")
+        sender = scenario.start(phone, Sender)
+        threads_before = threading.active_count()
+        beamers = [
+            Beamer(sender, StringToNdefMessageConverter(BEAM_TYPE))
+            for _ in range(IDLE_BEAMERS)
+        ]
+        for beamer in beamers:
+            beamer.beam("nobody near", timeout=60.0)
+        assert wait_until(lambda: phone.reactor.steps_executed >= IDLE_BEAMERS)
+        idle_cpu = measure_idle_cpu()
+        added_threads = threading.active_count() - threads_before
+        pending = sum(beamer.pending_count for beamer in beamers)
+
+    table = Table(
+        f"Idle Beamers -- {IDLE_BEAMERS} with one pending beam, no peer",
+        ["metric", "value"],
+    )
+    table.add_row(f"idle CPU over {IDLE_WINDOW_SECONDS}s (s)", f"{idle_cpu:.4f}")
+    table.add_row("threads added", added_threads)
+    table.print()
+
+    assert pending == IDLE_BEAMERS
+    assert added_threads <= 1  # the device reactor's loop thread, shared
+    assert idle_cpu < IDLE_CPU_CEILING_SECONDS

@@ -38,13 +38,16 @@ from repro.harness.scenario import Scenario
 from repro.metrics import percentile
 from repro.tags.factory import make_tags
 
-from benchmarks.conftest import emit_bench_json
+from benchmarks.conftest import (
+    IDLE_CPU_CEILING_SECONDS,
+    IDLE_WINDOW_SECONDS,
+    emit_bench_json,
+    measure_idle_cpu,
+)
 from tests.conftest import PlainNfcActivity, make_reference
 
 REFERENCES = 1000
 MAX_RUNTIME_THREADS = 64
-IDLE_WINDOW_SECONDS = 0.5
-IDLE_CPU_CEILING_SECONDS = 0.05  # "near zero" over the idle window
 PARK_TIMEOUT = 120.0  # pending-write timeout while tags are absent
 
 # Crowd-churn population: the acceptance floor is 100 devices x 1,000
@@ -54,13 +57,6 @@ CROWD_TAGS = 1000
 INSTRUMENTED_TAGS = 8
 
 _PAYLOAD = {}
-
-
-def _idle_cpu(wall_seconds: float) -> float:
-    """Process CPU seconds consumed while this thread sleeps."""
-    start = time.process_time()
-    time.sleep(wall_seconds)
-    return time.process_time() - start
 
 
 def _run_reactor_population() -> dict:
@@ -93,7 +89,7 @@ def _run_reactor_population() -> dict:
         for reference in references:
             reference.write("parked", timeout=PARK_TIMEOUT)
         time.sleep(0.2)  # let every task take its absent-tag step
-        idle_cpu = _idle_cpu(IDLE_WINDOW_SECONDS)
+        idle_cpu = measure_idle_cpu()
 
         return {
             "references": REFERENCES,

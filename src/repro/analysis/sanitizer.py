@@ -4,16 +4,17 @@ The paper's contract is a thread-affinity contract: listeners "are
 always asynchronously scheduled for execution in the activity's main
 thread", so bound :class:`~repro.things.thing.Thing` state is owned by
 the device's main looper and nothing running on middleware threads
-(reactor loops, looper pumps, beamer event loops) may poke
-it directly. ``morelint`` checks that statically; this module checks it
-at run time, for the cases no source analysis can see (callbacks built
-dynamically, third-party helpers, the middleware itself regressing).
+(reactor loops and looper pumps; a Beamer, like a tag reference, is a
+reactor task and owns no thread) may poke it directly. ``morelint``
+checks that statically; this module checks it at run time, for the
+cases no source analysis can see (callbacks built dynamically,
+third-party helpers, the middleware itself regressing).
 
 When installed, the sanitizer patches:
 
-* ``Looper._loop``, ``Reactor._loop_runner`` and ``Beamer._event_loop``
-  so every middleware thread registers itself on entry (threads started
-  *before* installation are recognized by their names as a fallback).
+* ``Looper._loop`` and ``Reactor._loop_runner`` so every middleware
+  thread registers itself on entry (threads started *before*
+  installation are recognized by their names as a fallback).
   The reactor's loop thread is middleware too (event-**loop** affinity
   alongside looper affinity: a step mutating a bound Thing from the
   loop thread is an off-looper mutation like any other middleware
@@ -22,8 +23,9 @@ When installed, the sanitizer patches:
   a middleware thread that is not the owning looper's pump thread are
   recorded as :class:`AffinityViolation`; unbound Things stay freely
   mutable -- Gson legitimately revives them on the reactor loop;
-* ``TagReference._post_listener`` so every listener verifies, at the
-  moment it executes, that it is running on the reference's main looper;
+* ``TagReference._post_listener`` and ``Beamer._post_listener`` so every
+  listener verifies, at the moment it executes, that it is running on
+  its owner's main looper;
 * ``OperationFuture.result`` and ``Looper.sync`` so a *blocking* wait
   executed inside a running asyncio event loop — the reactor's or any
   user loop — is recorded as a ``blocking-on-loop`` violation: one
@@ -77,7 +79,7 @@ __all__ = [
 _WRAPPER_MARK = "__morena_sanitizer_wrapper__"
 
 # Thread-name fallbacks for middleware threads started before install().
-_MIDDLEWARE_NAME_MARKS: Tuple[str, ...] = ("looper-", "beamer-")
+_MIDDLEWARE_NAME_MARKS: Tuple[str, ...] = ("looper-",)
 
 
 def _in_running_event_loop() -> bool:
@@ -400,9 +402,9 @@ class ThreadAffinitySanitizer:
 
         self._patch_registering(Looper, "_loop", "looper")
         self._patch_registering(Reactor, "_loop_runner", "reactor-loop")
-        self._patch_registering(Beamer, "_event_loop", "beamer")
         self._patch_thing_setattr(Thing)
         self._patch_post_listener(TagReference)
+        self._patch_post_listener(Beamer)
         self._patch_blocking(OperationFuture, "result", "OperationFuture.result")
         self._patch_blocking(Looper, "sync", "Looper.sync")
         self._installed = True

@@ -6,9 +6,13 @@ take a :class:`Clock` so that tests and benchmarks can substitute a
 to :class:`SystemClock`.
 
 The clock is deliberately tiny: ``now()`` returning seconds as a float, and
-``sleep()``. Components that need to *wait for a condition or a deadline,
-whichever comes first* should use a ``threading.Condition`` with a timeout
-derived from ``now()`` rather than calling ``sleep()`` in a loop.
+``sleep()``. Middleware that *waits for an event or a deadline, whichever
+comes first* -- a tag reference, a Beamer -- blocks no thread: it is a
+task on the device reactor (:mod:`repro.core.scheduler`), owns no thread,
+and returns its next deadline for the reactor to wake it at. A thread
+that must block (a looper's pump, a blocking future) waits on a
+``threading.Condition`` with a timeout derived from ``now()`` rather than
+calling ``sleep()`` in a loop.
 """
 
 from __future__ import annotations

@@ -4,16 +4,17 @@ Paper section 3.3. Beaming is *undirected* -- there is no reference to
 push through; instead a :class:`Beamer` object encapsulates the write
 converter and queues beam operations with the same decoupled-in-time
 semantics as tag writes: a beam scheduled while no peer phone is near is
-silently retried until a peer appears or the timeout passes. Reception is
-handled by :class:`BeamReceivedListener`, which converts the received
-NDEF message with its read converter and applies an optional
-``check_condition`` predicate before invoking ``on_beam_received``.
+silently retried until a peer appears or the timeout passes. A Beamer is
+a task on the device's reactor, as a tag reference is, and owns no
+thread. :class:`BeamReceivedListener` converts a received NDEF message
+with its read converter and applies an optional ``check_condition``
+predicate before invoking ``on_beam_received``.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.core.listeners import ListenerLike, as_callback
 from repro.core.nfc_activity import NFCActivity
@@ -30,6 +31,7 @@ from repro.core.converters import (
 from repro.errors import (
     BeamError,
     ConverterError,
+    LooperError,
     MorenaError,
     RadioError,
     ReferenceStoppedError,
@@ -38,8 +40,10 @@ from repro.ndef.message import NdefMessage
 from repro.ndef.mime import normalize_mime_type
 from repro.radio.events import FieldEvent, PeerEntered
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.android.looper import Looper
+
 DEFAULT_BEAM_TIMEOUT_SECONDS = 5.0
-_WAIT_SLICE_SECONDS = 0.01
 _RETRY_INTERVAL_SECONDS = 0.02
 
 
@@ -62,7 +66,8 @@ class Beamer:
         self._write_converter = write_converter
         self._default_timeout = default_timeout
 
-        self._cond = threading.Condition()
+        # A plain lock: nothing waits on a Beamer, it parks on the reactor.
+        self._lock = threading.Lock()
         # Beams never coalesce or merge: the queue is FIFO with deadlines.
         self._queue = OperationQueue()
         self._stopped = False
@@ -71,14 +76,11 @@ class Beamer:
         self.successes = 0
         self.timeouts = 0
 
+        self._task = activity.device.reactor.register(
+            self._step, name=f"beamer-{activity.device.name}"
+        )
         self._port.add_field_listener(self._on_field_event)
         activity._register_beamer(self)  # noqa: SLF001 - by-design handshake
-        self._thread = threading.Thread(
-            target=self._event_loop,
-            name=f"beamer-{activity.device.name}",
-            daemon=True,
-        )
-        self._thread.start()
 
     # -- the asynchronous interface -------------------------------------------------
 
@@ -113,13 +115,13 @@ class Beamer:
         except ConverterError as exc:
             operation.outcome = OperationOutcome.FAILED
             operation.error = exc
-            self._post(operation.on_failure)
+            self._post_listener(operation.on_failure)
             return operation
-        with self._cond:
+        with self._lock:
             if self._stopped:
                 raise ReferenceStoppedError("this Beamer has been stopped")
             self._queue.push(operation)
-            self._cond.notify_all()
+        self._task.wake()
         return operation
 
     def _convert_payload(self, obj: Any) -> NdefMessage:
@@ -132,74 +134,72 @@ class Beamer:
         return self._write_converter.convert(obj)
 
     @property
+    def looper(self) -> "Looper":
+        """The main looper all of this Beamer's listeners post to."""
+        return self._looper
+
+    @property
     def pending_count(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._queue)
 
     # -- lifecycle --------------------------------------------------------------------
 
-    def stop(self, join_timeout: float = 5.0) -> None:
-        with self._cond:
+    def stop(self) -> None:
+        """Stop the logical loop; pending beams become ``CANCELLED``."""
+        with self._lock:
             if self._stopped:
                 return
             self._stopped = True
             cancelled = self._queue.drain()
-            self._cond.notify_all()
         for operation in cancelled:
             operation.outcome = OperationOutcome.CANCELLED
         self._port.remove_field_listener(self._on_field_event)
-        if threading.current_thread() is not self._thread:
-            self._thread.join(join_timeout)
+        self._task.cancel()
 
     # -- internals ----------------------------------------------------------------------
 
     def _on_field_event(self, event: FieldEvent) -> None:
         if isinstance(event, PeerEntered):
-            with self._cond:
-                self._cond.notify_all()
+            self._task.wake()
 
-    def _event_loop(self) -> None:
-        while True:
-            with self._cond:
-                if self._stopped:
-                    return
-                for expired in self._queue.expire(self._clock.now()):
-                    self.timeouts += 1
-                    expired.outcome = OperationOutcome.TIMED_OUT
-                    self._post(expired.on_failure)
-                head = self._queue.head
-                if head is None:
-                    self._cond.wait()
-                    continue
-                if not self._port.environment.peers_of(self._port):
-                    self._cond.wait(_WAIT_SLICE_SECONDS)
-                    continue
-            succeeded = self._attempt(head)
-            with self._cond:
-                if self._stopped:
-                    return
-                if not succeeded:
-                    self._cond.wait(_RETRY_INTERVAL_SECONDS)
-                    continue
-                self._queue.settle(head, True)
-                self.successes += 1
-            head.outcome = OperationOutcome.SUCCEEDED
-            self._post(head.on_success)
-
-    def _attempt(self, operation: Operation) -> bool:
-        operation.attempts += 1
+    def _step(self) -> Optional[float]:
+        """One quantum of the logical loop: expire due beams, push the head
+        if a peer is in range, and return when to run next -- the retry after
+        a failed push, else the earliest deadline. It never waits."""
+        with self._lock:
+            if self._stopped:
+                return None
+            for expired in self._queue.expire(self._clock.now()):
+                self.timeouts += 1
+                expired.outcome = OperationOutcome.TIMED_OUT
+                self._post_listener(expired.on_failure)
+            head = self._queue.head
+            if head is None:
+                return None
+            if not self._port.environment.peers_of(self._port):
+                return self._queue.deadline_bound
+        head.attempts += 1
         self.attempts += 1
         try:
-            self._adapter.push_now(operation.payload)
-            return True
+            self._adapter.push_now(head.payload)
         except (BeamError, RadioError) as exc:
-            operation.error = exc
-            return False
+            head.error = exc
+            return self._clock.now() + _RETRY_INTERVAL_SECONDS
+        with self._lock:
+            if self._stopped:
+                return None
+            self._queue.settle(head, True)
+            self.successes += 1
+        head.outcome = OperationOutcome.SUCCEEDED
+        self._post_listener(head.on_success)
+        return self._clock.now()  # the next beam goes at once
 
-    def _post(self, callback) -> None:
+    def _post_listener(self, callback: Callable[[], None]) -> None:
+        """Post a listener to the main looper; drop it only if that quit."""
         try:
-            self._looper.post(lambda: callback())
-        except Exception:  # noqa: BLE001 - looper quit during shutdown
+            self._looper.post(callback)
+        except LooperError:  # looper quit during shutdown
             pass
 
 

@@ -50,8 +50,9 @@ MAX_PAYLOAD_LENGTH = 0xFFFFFFFF
 class EncodeStats:
     """Process-wide encode-cache telemetry for records and messages.
 
-    Bumped from every thread that encodes (reactor loops, beamer and
-    looper threads, benches), so the counters are guarded by a lock --
+    Bumped from every thread that encodes (reactor loops, where tag
+    references and Beamers run, looper threads, callers' threads and
+    benches), so the counters are guarded by a lock --
     ``hit()``/``miss()`` are the increments, ``hits``/``misses`` and
     ``snapshot()`` the consistent reads.
     """

@@ -87,7 +87,7 @@ class NfcAdapterPort:
         self._snep_get_provider: Optional[Callable[[str, bytes], Optional[bytes]]] = None
         self._lock = threading.RLock()
         # One radio, one transaction at a time: a real NFC controller
-        # cannot overlap tag exchanges, so concurrent callers serialize
+        # cannot overlap tag exchanges or SNEP fragments, so callers serialize
         # here for the duration of each transfer (held across the
         # latency sleep -- that *is* the radio being busy).
         self._radio_lock = threading.Lock()
@@ -393,16 +393,20 @@ class NfcAdapterPort:
     def snep_exchange(self, peer: "NfcAdapterPort", raw: bytes) -> bytes:
         """One SNEP round trip to a peer: request frame out, response in.
 
-        Each fragment is a separate radio transfer: latency per fragment,
-        and the link may tear on any of them (``TagLostError``).
+        Each fragment is a separate radio transfer: it holds the radio for
+        its latency and link decision, as a tag transfer does, and the
+        link may tear on any of them (``TagLostError``). The peer's SNEP
+        server runs after the radio is released, so its handlers never
+        run under this port's radio lock.
         """
         if not self._env.in_beam_range(self, peer):
             raise TagLostError(
                 f"{peer.name} drifted out of Beam range of {self.name}"
             )
-        self._simulate_latency(len(raw))
-        if not self._link.attempt_succeeds(len(raw)):
-            raise TagLostError(f"Beam link tore on {self.name}")
+        with self._radio_lock:
+            self._simulate_latency(len(raw))
+            if not self._link.attempt_succeeds(len(raw)):
+                raise TagLostError(f"Beam link tore on {self.name}")
         server = peer._snep_server
         if server is None:
             raise BeamError(f"{peer.name} runs no SNEP server")

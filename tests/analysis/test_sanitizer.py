@@ -14,6 +14,8 @@ import pytest
 from repro.analysis import sanitizer as sanitizer_mod
 from repro.analysis.sanitizer import AffinityViolationError
 from repro.concurrent import EventLog
+from repro.core.beam import Beamer
+from repro.core.converters import StringToNdefMessageConverter
 from repro.core.futures import read_future
 from repro.tags.factory import make_tag
 from repro.things.activity import ThingActivity
@@ -165,6 +167,17 @@ class TestListenerAffinity:
         assert delivered == [reference]
         fresh = san.violations[before:]
         assert any(v.kind == "listener-off-looper" for v in fresh)
+        assert fresh[0].owner == "inline-looper"
+
+    def test_catches_beam_listener_executing_off_looper(self, san, activity):
+        beamer = Beamer(activity, StringToNdefMessageConverter("a/b"))
+        beamer._looper = _InlineLooper()
+        before = len(san.violations)
+        delivered = []
+        beamer._post_listener(lambda: delivered.append("sent"))
+        assert delivered == ["sent"]
+        fresh = san.violations[before:]
+        assert [v.kind for v in fresh] == ["listener-off-looper"]
         assert fresh[0].owner == "inline-looper"
 
     def test_normal_listener_dispatch_is_clean(

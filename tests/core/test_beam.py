@@ -1,16 +1,23 @@
 """Tests for Beamer and BeamReceivedListener: async, undirected pushes."""
 
+import threading
+import time
+
 import pytest
 
-from repro.concurrent import EventLog
-from repro.core.beam import Beamer, BeamReceivedListener
+from repro.clock import ManualClock
+from repro.concurrent import EventLog, wait_until
+from repro.core.beam import _RETRY_INTERVAL_SECONDS, Beamer, BeamReceivedListener
 from repro.core.converters import (
     NdefMessageToStringConverter,
+    ObjectToNdefMessageConverter,
     StringToNdefMessageConverter,
 )
 from repro.core.nfc_activity import NFCActivity
 from repro.core.operations import OperationOutcome
-from repro.errors import ReferenceStoppedError
+from repro.errors import ConverterError, ReferenceStoppedError
+from repro.harness.scenario import Scenario
+from repro.radio.link import ScriptedLink
 
 BEAM_TYPE = "application/x-beam-test"
 
@@ -207,3 +214,93 @@ class TestLifecycle:
         operation = beamer.beam("x", on_failed=lambda: log.append("failed"))
         assert operation.outcome is OperationOutcome.FAILED
         assert log.wait_for_count(1)
+
+    def test_post_errors_other_than_looper_error_surface(self, scenario, sender):
+        """Only a quit looper's ``LooperError`` is swallowed: a middleware
+        error while posting a beam listener reaches the caller."""
+        sender_phone, sender_app = sender
+
+        class Rejecting(ObjectToNdefMessageConverter):
+            def convert(self, obj):
+                raise ConverterError("nope")
+
+        beamer = Beamer(sender_app, Rejecting())
+
+        def broken_post(runnable):
+            raise RuntimeError("post failed")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sender_phone.main_looper, "post", broken_post)
+            with pytest.raises(RuntimeError, match="post failed"):
+                beamer.beam("x")
+
+
+class TestVirtualTime:
+    """On a ManualClock a Beamer's retries and timeouts move with the
+    clock alone: no real-time wait paces them."""
+
+    def test_retries_are_paced_by_the_clock(self):
+        clock = ManualClock()
+        with Scenario(clock=clock) as scenario:
+            sender_phone = scenario.add_phone(
+                "sender", link=ScriptedLink([False, False])
+            )
+            receiver_phone = scenario.add_phone("receiver")
+            # Paired before the Beamer exists, so no PeerEntered wakes it:
+            # each wake attempts the head at once, and this test counts.
+            scenario.pair(sender_phone, receiver_phone)
+            beamer = scenario.start(sender_phone, SenderApp).beamer
+            receiver_app = scenario.start(receiver_phone, ReceiverApp)
+            sent = EventLog()
+            beamer.beam("paced", on_success=lambda: sent.append("sent"))
+            assert wait_until(lambda: beamer.attempts == 1)
+            time.sleep(0.2)
+            assert beamer.attempts == 1
+            for attempts in (2, 3):
+                assert len(sent) == 0
+                clock.advance(_RETRY_INTERVAL_SECONDS)
+                assert wait_until(lambda: beamer.attempts >= attempts)
+                time.sleep(0.05)
+                assert beamer.attempts == attempts
+            assert sent.wait_for_count(1)
+            assert receiver_app.received.wait_for_count(1)
+            assert (beamer.attempts, beamer.successes) == (3, 1)
+
+    def test_timeout_fires_once_the_clock_passes_the_deadline(self):
+        clock = ManualClock()
+        with Scenario(clock=clock) as scenario:
+            beamer = scenario.start(scenario.add_phone("sender"), SenderApp).beamer
+            failed = EventLog()
+            operation = beamer.beam(
+                "nobody", on_failed=lambda: failed.append("failed"), timeout=1.0
+            )
+            assert not failed.wait_for_count(1, timeout=0.2)
+            clock.advance(0.9)
+            assert not failed.wait_for_count(1, timeout=0.1)
+            clock.advance(0.2)
+            assert failed.wait_for_count(1)
+            assert operation.outcome is OperationOutcome.TIMED_OUT
+            assert (beamer.timeouts, beamer.attempts) == (1, 0)
+
+
+class TestThreads:
+    def test_pending_beamers_own_no_thread(self, scenario, sender):
+        """Fifty Beamers with a beam each and no peer near start at most
+        the device reactor's loop thread, which they all share."""
+        sender_phone, sender_app = sender
+        threads_before = threading.active_count()
+        beamers = [
+            Beamer(sender_app, StringToNdefMessageConverter(BEAM_TYPE))
+            for _ in range(50)
+        ]
+        for beamer in beamers:
+            beamer.beam("nobody near", timeout=60.0)
+        assert threading.active_count() - threads_before <= 1
+        assert wait_until(lambda: sender_phone.reactor.steps_executed >= 50)
+        assert all(beamer.pending_count == 1 for beamer in beamers)
+        assert threading.active_count() - threads_before <= 1
+        assert not [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("beamer-")
+        ]

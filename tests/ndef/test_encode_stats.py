@@ -1,7 +1,8 @@
 """EncodeStats: counting semantics and thread safety.
 
-The counters are process-wide and bumped from reactor loops, beamer
-threads and loopers concurrently; losing increments under contention
+The counters are process-wide and bumped concurrently from reactor
+loops (where tag references and Beamers run, owning no thread of their
+own), loopers and callers' threads; losing increments under contention
 would silently understate cache effectiveness in the benches.
 """
 
