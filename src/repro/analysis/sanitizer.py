@@ -4,8 +4,8 @@ The paper's contract is a thread-affinity contract: listeners "are
 always asynchronously scheduled for execution in the activity's main
 thread", so bound :class:`~repro.things.thing.Thing` state is owned by
 the device's main looper and nothing running on middleware threads
-(reactor loops and looper pumps; a Beamer, like a tag reference, is a
-reactor task and owns no thread) may poke it directly. ``morelint``
+(reactor loops and looper pumps; a Beamer is a reactor task, a tag
+reference owns none, and neither owns a thread) may poke it directly. ``morelint``
 checks that statically; this module checks it at run time, for the
 cases no source analysis can see (callbacks built dynamically,
 third-party helpers, the middleware itself regressing).

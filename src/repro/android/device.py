@@ -266,7 +266,8 @@ class AndroidDevice:
         return self._looper.wait_idle(timeout)
 
     def shutdown(self) -> None:
-        """Destroy all activities and services, then stop the main looper."""
+        """Destroy all activities and services, detach the NFC adapter,
+        then stop the main looper."""
         for service in self.running_services:
             self.stop_service(service)
         while self.foreground_activity is not None:
@@ -279,6 +280,7 @@ class AndroidDevice:
             reactor = self._reactor
         if reactor is not None:
             reactor.stop()
+        self._adapter.close()
         self._looper.quit()
 
     # -- internals ----------------------------------------------------------------------

@@ -14,8 +14,8 @@ simulations stay deterministic.
 Delayed posts are event-driven, never polled: with a real clock the pump
 waits exactly until the earliest due time; with a
 :class:`~repro.clock.ManualClock` the looper subscribes to advance
-notifications and sleeps until simulated time actually moves. Exotic
-clocks that support neither fall back to a coarse real-time poll.
+notifications and sleeps until simulated time actually moves. A clock
+that does not notify is waited on as real time.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ from repro.clock import Clock, SystemClock
 from repro.errors import LooperError
 
 Runnable = Callable[[], None]
-
-# Fallback slice for clocks that neither notify on advance nor run in
-# real time; unused with the shipped SystemClock/ManualClock.
-_DELAY_POLL_SECONDS = 0.01
 
 
 class Looper:
@@ -50,7 +46,6 @@ class Looper:
         self._processed = 0
         self._errors: List[BaseException] = []
         self._clock_notifies = hasattr(self._clock, "add_listener")
-        self._clock_is_realtime = isinstance(self._clock, SystemClock)
         if self._clock_notifies:
             self._clock.add_listener(self._on_clock_advance)
         self._thread = threading.Thread(
@@ -185,12 +180,7 @@ class Looper:
                         return runnable
                     # Delayed message pending: wait until it can be due.
                     # A new post or a clock advance notifies the cond.
-                    if self._clock_notifies:
-                        self._cond.wait()
-                    elif self._clock_is_realtime:
-                        self._cond.wait(due - now)
-                    else:
-                        self._cond.wait(_DELAY_POLL_SECONDS)
+                    self._cond.wait(None if self._clock_notifies else due - now)
                 else:
                     self._cond.wait()
 

@@ -75,6 +75,16 @@ class NfcAdapter:
         with self._lock:
             self._enabled = enabled
 
+    def close(self) -> None:
+        """Detach from the port: no field listener, no SNEP server.
+
+        Part of device shutdown, before the main looper quits: nothing
+        the port does afterwards may post to that looper.
+        """
+        self._port.remove_field_listener(self._on_field_event)
+        self._port.set_beam_handler(None)
+        self._port.set_snep_get_provider(None)
+
     # -- tag dispatch ------------------------------------------------------------
 
     def _on_field_event(self, event: FieldEvent) -> None:

@@ -54,7 +54,6 @@ class Beamer:
         self,
         activity: NFCActivity,
         write_converter: ObjectToNdefMessageConverter,
-        default_timeout: float = DEFAULT_BEAM_TIMEOUT_SECONDS,
     ) -> None:
         if not isinstance(activity, NFCActivity):
             raise TypeError("Beamer requires an NFCActivity")
@@ -64,13 +63,15 @@ class Beamer:
         self._looper = activity.device.main_looper
         self._clock = activity.device.environment.clock
         self._write_converter = write_converter
-        self._default_timeout = default_timeout
 
         # A plain lock: nothing waits on a Beamer, it parks on the reactor.
         self._lock = threading.Lock()
         # Beams never coalesce or merge: the queue is FIFO with deadlines.
         self._queue = OperationQueue()
         self._stopped = False
+        # Step-only: no push before this time, so a wake during the pause
+        # after a failed push does not cut it short.
+        self._retry_at = 0.0
 
         self.attempts = 0
         self.successes = 0
@@ -98,7 +99,7 @@ class Beamer:
         delivery ``on_success()`` runs on the main thread, on timeout
         ``on_failed()`` does.
         """
-        effective = self._default_timeout if timeout is None else timeout
+        effective = DEFAULT_BEAM_TIMEOUT_SECONDS if timeout is None else timeout
         if effective <= 0:
             raise MorenaError("beam timeout must be positive")
         now = self._clock.now()
@@ -165,18 +166,22 @@ class Beamer:
 
     def _step(self) -> Optional[float]:
         """One quantum of the logical loop: expire due beams, push the head
-        if a peer is in range, and return when to run next -- the retry after
-        a failed push, else the earliest deadline. It never waits."""
+        if a peer is in range and no retry pause is running, and return
+        when to run next -- the retry after a failed push, else the
+        earliest deadline. It never waits."""
         with self._lock:
             if self._stopped:
                 return None
-            for expired in self._queue.expire(self._clock.now()):
+            now = self._clock.now()
+            for expired in self._queue.expire(now):
                 self.timeouts += 1
                 expired.outcome = OperationOutcome.TIMED_OUT
                 self._post_listener(expired.on_failure)
             head = self._queue.head
             if head is None:
                 return None
+            if now < self._retry_at:
+                return min(self._retry_at, self._queue.deadline_bound)
             if not self._port.environment.peers_of(self._port):
                 return self._queue.deadline_bound
         head.attempts += 1
@@ -185,7 +190,8 @@ class Beamer:
             self._adapter.push_now(head.payload)
         except (BeamError, RadioError) as exc:
             head.error = exc
-            return self._clock.now() + _RETRY_INTERVAL_SECONDS
+            self._retry_at = self._clock.now() + _RETRY_INTERVAL_SECONDS
+            return self._retry_at
         with self._lock:
             if self._stopped:
                 return None

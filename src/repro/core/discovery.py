@@ -47,7 +47,6 @@ class TagDiscoverer:
         read_converter: NdefMessageToObjectConverter,
         write_converter: ObjectToNdefMessageConverter,
         accept_empty: bool = False,
-        default_timeout: Optional[float] = None,
     ) -> None:
         if not isinstance(activity, NFCActivity):
             raise TypeError("TagDiscoverer requires an NFCActivity")
@@ -56,7 +55,6 @@ class TagDiscoverer:
         self.read_converter = read_converter
         self.write_converter = write_converter
         self.accept_empty = accept_empty
-        self._default_timeout = default_timeout
         # Non-overridable observers ("detected"|"redetected"|"empty",
         # reference) invoked after the subclass callbacks — the feed for
         # async discovery streams and telemetry taps.
@@ -148,10 +146,7 @@ class TagDiscoverer:
         if mime_type != self.mime_type:
             return
         reference, is_new = self._activity.reference_factory.get_or_create(
-            tag,
-            self.read_converter,
-            self.write_converter,
-            default_timeout=self._default_timeout,
+            tag, self.read_converter, self.write_converter
         )
         # Refresh the cache from the tag content the platform already read
         # during dispatch; a tag whose data our converter rejects is
@@ -161,7 +156,6 @@ class TagDiscoverer:
         except ConverterError:
             return
         reference._update_cache(converted, message)  # noqa: SLF001 - cache prime
-        reference.notify_redetected()
         if not self.check_condition(reference):
             return
         if is_new:
@@ -184,11 +178,7 @@ class TagDiscoverer:
         ):
             return
         reference, _is_new = self._activity.reference_factory.get_or_create(
-            tag,
-            self.read_converter,
-            self.write_converter,
-            default_timeout=self._default_timeout,
+            tag, self.read_converter, self.write_converter
         )
-        reference.notify_redetected()
         self.on_empty_tag_detected(reference)
         self._notify_detection("empty", reference)

@@ -41,34 +41,27 @@ class TagReferenceFactory:
         tag: "Tag",
         read_converter: NdefMessageToObjectConverter,
         write_converter: ObjectToNdefMessageConverter,
-        default_timeout: Optional[float] = None,
-        coalesce_writes: Optional[bool] = None,
+        coalesce_writes: bool = False,
     ) -> "tuple[TagReference, bool]":
         """Return ``(reference, is_new)`` for the tag's UID.
 
         The converters only matter on first creation; later lookups return
         the existing reference unchanged, preserving its queue and cache.
-        New references run on the device's reactor and batch their radio
-        work through its per-port transaction scheduler (see
-        :mod:`repro.radio.txscheduler`). ``coalesce_writes=True`` makes
-        the reference's writes coalescible by default (see
-        :meth:`TagReference.write`).
+        New references are served by the device's per-port transaction
+        scheduler (see :mod:`repro.radio.txscheduler`).
+        ``coalesce_writes=True`` makes the reference's writes coalescible
+        by default (see :meth:`TagReference.write`).
         """
         with self._lock:
             existing = self._references.get(tag.id)
             if existing is not None and not existing.is_stopped:
                 return existing, False
-            kwargs = {}
-            if default_timeout is not None:
-                kwargs["default_timeout"] = default_timeout
-            if coalesce_writes is not None:
-                kwargs["coalesce_writes"] = coalesce_writes
             reference = TagReference(
                 tag,
                 self._activity,
                 read_converter,
                 write_converter,
-                **kwargs,
+                coalesce_writes=coalesce_writes,
             )
             self._references[tag.id] = reference
             return reference, True

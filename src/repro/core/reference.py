@@ -12,11 +12,11 @@ Paper section 3.2. A tag reference
   process the first operation in the queue: a failed attempt leaves the
   operation queued (decoupling in time -- no error surfaces), success
   removes it and fires the success listener, and passing its timeout
-  removes it and fires the failure listener. The event loop is a
-  :class:`~repro.core.scheduler.ReactorTask` on the device's reactor
-  (see :mod:`repro.core.scheduler`), and its radio attempts run through
-  the device's per-port transaction scheduler (see
-  :mod:`repro.radio.txscheduler`);
+  removes it and fires the failure listener. The loop is logical only:
+  a reference owns no reactor task. The device's per-port transaction
+  scheduler (see :mod:`repro.radio.txscheduler`), one task on the
+  device's reactor, serves its readiness, its radio attempts and its
+  timeouts;
 * guarantees that an operation is **never processed before previously
   scheduled operations** were processed (or timed out);
 * schedules all listeners on the **activity's main thread**, so the
@@ -45,6 +45,7 @@ Cancellation (DESIGN.md decision 8) is **silent** for
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import (
     Any,
@@ -67,7 +68,6 @@ from repro.core.operations import (
     OperationOutcome,
     OperationQueue,
 )
-from repro.core.scheduler import ReactorTask
 from repro.errors import (
     ConverterError,
     LooperError,
@@ -140,7 +140,6 @@ class TagReference:
         "_clock",
         "_read_converter",
         "_write_converter",
-        "_default_timeout",
         "_retry_interval",
         "_coalesce_writes",
         "_lock",
@@ -158,9 +157,9 @@ class TagReference:
         "coalesced_writes",
         "deduped_reads",
         "protocol_merges",
-        "_task",
         "_batch",
         "_batch_backoff_until",
+        "_armed_at",
     )
 
     def __init__(
@@ -169,7 +168,6 @@ class TagReference:
         activity: "NFCActivity",
         read_converter: NdefMessageToObjectConverter,
         write_converter: ObjectToNdefMessageConverter,
-        default_timeout: float = DEFAULT_TIMEOUT_SECONDS,
         retry_interval: float = DEFAULT_RETRY_INTERVAL_SECONDS,
         coalesce_writes: bool = False,
     ) -> None:
@@ -180,12 +178,11 @@ class TagReference:
         self._clock: Clock = activity.device.environment.clock
         self._read_converter = read_converter
         self._write_converter = write_converter
-        self._default_timeout = default_timeout
         self._retry_interval = retry_interval
         self._coalesce_writes = coalesce_writes
 
         # A plain lock, not a condition: nothing waits on a reference --
-        # its logical loop parks on the reactor's timer heap.
+        # the port scheduler serves its readiness and its timeouts.
         self._lock = threading.Lock()
         # Created by the first enqueue: at 100k idle references, a queue
         # per reference that never queued anything is real memory.
@@ -207,14 +204,14 @@ class TagReference:
         self.deduped_reads = 0  # reads settled by another read's attempt
         self.protocol_merges = 0  # raw writes absorbed via merge_key
 
-        self._task: ReactorTask = activity.device.reactor.register(
-            self._step, name=f"tagref-{tag.id_hex}"
-        )
         # The device's per-port transaction scheduler drains this
         # reference's ready head operations through shared tag
-        # sessions, one connect per tap window.
+        # sessions, one connect per tap window, and times them out.
         self._batch: "PortTransactionScheduler" = activity.device.tx_scheduler
         self._batch_backoff_until = 0.0
+        # The earliest deadline armed on the scheduler's timeout heap
+        # and not yet served; inf while none is.
+        self._armed_at = math.inf
         self._batch.register(self)
         # Usually created upon discovery (i.e. in the field), but a
         # reference can also be created for an already-departed tag --
@@ -247,11 +244,6 @@ class TagReference:
     def looper(self) -> "Looper":
         """The main looper all of this reference's listeners post to."""
         return self._looper
-
-    @property
-    def default_timeout(self) -> float:
-        """Timeout applied when an operation omits its own."""
-        return self._default_timeout
 
     @property
     def cached(self) -> Any:
@@ -331,14 +323,9 @@ class TagReference:
             ):
                 self._telemetry_listeners.remove(listener)
 
-    def notify_redetected(self) -> None:
-        """Wake the event loop; called by the discoverer on re-detection."""
-        self._task.wake()
-
     def _on_field_event(self, event: FieldEvent) -> None:
         if isinstance(event, TagEntered) and event.tag is self._tag.simulated:
             self._set_connected(True)
-            self._task.wake()
         elif isinstance(event, TagLeft) and event.tag is self._tag.simulated:
             self._set_connected(False)
 
@@ -363,8 +350,9 @@ class TagReference:
 
         On success the tag's content is converted with the read converter,
         cached, and ``on_read(ref)`` runs on the main thread. If the read
-        does not succeed within ``timeout`` seconds (the reference default
-        when omitted), ``on_failed(ref)`` runs instead.
+        does not succeed within ``timeout`` seconds
+        (``DEFAULT_TIMEOUT_SECONDS`` when omitted), ``on_failed(ref)``
+        runs instead.
         """
         return self._enqueue(
             self._make_operation(OperationKind.READ, on_read, on_failed, timeout)
@@ -545,7 +533,7 @@ class TagReference:
             return self._stopped
 
     def stop(self, notify_pending: bool = False) -> None:
-        """Stop the private event loop.
+        """Stop the reference and leave the port scheduler.
 
         Pending operations become ``CANCELLED``. By default that is
         silent, mirroring :meth:`cancel_all`; with ``notify_pending``
@@ -564,10 +552,8 @@ class TagReference:
             if notify_pending:
                 self._post_listener(operation.on_failure, self)
         self._port.remove_tag_listener(self._tag.simulated, self._on_field_event)
+        # A timeout armed earlier finds the queue drained when it falls due.
         self._batch.unregister(self)
-        # Deregister rather than wake: a cancelled task's timer entries
-        # are ignored, and nothing is left for a step to observe.
-        self._task.cancel()
 
     # -- internals -------------------------------------------------------------------------------
 
@@ -579,7 +565,7 @@ class TagReference:
         timeout: Optional[float],
         **fields: Any,
     ) -> Operation:
-        effective = self._default_timeout if timeout is None else timeout
+        effective = DEFAULT_TIMEOUT_SECONDS if timeout is None else timeout
         if effective <= 0:
             raise MorenaError("operation timeout must be positive")
         now = self._clock.now()
@@ -604,40 +590,31 @@ class TagReference:
                 self.coalesced_writes += 1
             elif operation.merged:
                 self.protocol_merges += 1
-        if operation.merged:
-            # The queue did not grow and the tail was already being
-            # awaited; only the deadline may have moved. Adopt it on
-            # the reactor's timer heap instead of queueing a step.
-            self._task.schedule_at(operation.deadline)
-        else:
-            self._task.wake()
+            arm = operation.deadline < self._armed_at
+            if arm:
+                self._armed_at = operation.deadline
+        # Outside the queue lock: the scheduler takes its own lock. A
+        # merged operation did not grow the queue, whose tail was ready.
+        if arm:
+            self._batch.arm_timeout(self, operation.deadline)
+        if not operation.merged and self.is_connected:
+            self._batch.notify_runnable(self)
         return operation
 
-    def _step(self) -> Optional[float]:
-        """One scheduling quantum of the logical event loop.
+    def expire_due(self) -> Optional[float]:
+        """Time out every operation whose deadline has passed.
 
-        Runs on the reactor, serialized per reference. Radio attempts
-        happen on the transaction scheduler's drain; this task only
-        expires deadlines and reports readiness, then parks on the
-        queue's deadline bound so timeouts fire even while the
-        scheduler has nothing to drain (absent tag, backoff). It never
-        sleeps: an absent tag's wait occupies no thread and cannot
-        starve other references.
+        Called by the transaction scheduler when a deadline this
+        reference armed falls due. Returns the deadline bound to arm
+        next, or ``None`` while nothing is pending.
         """
         with self._lock:
             queue = self._queue
-            if self._stopped or not queue:
-                return None
-            self._time_out(queue, self._clock.now())
-            if not queue:
-                return None
-            runnable = self.is_connected
-            deadline = queue.deadline_bound
-        if runnable:
-            # Outside the queue lock: the scheduler takes its own lock
-            # and wakes its reactor task.
-            self._batch.notify_runnable(self)
-        return deadline
+            if queue:
+                self._time_out(queue, self._clock.now())
+            # A stopped reference drained its queue: nothing to arm.
+            bound = self._armed_at = queue.deadline_bound if queue else math.inf
+        return bound if bound < math.inf else None
 
     def batch_poll(self) -> BatchView:
         """Expire overdue operations, then report the queue's batch view.

@@ -1,4 +1,4 @@
-"""The reactor: multiplexes many logical event loops onto one loop thread.
+"""The reactor: multiplexes a device's serial tasks onto one loop thread.
 
 The paper gives every tag reference "its own thread of control"
 (section 3.2). That is a statement about *logical* concurrency — each
@@ -8,30 +8,32 @@ reproduced it literally with one OS thread per reference, which caps a
 process at a few hundred live references and burns CPU in polling
 waits. Following RAFDA's separation of the logical object model from
 the physical distribution policy (see PAPERS.md and DESIGN.md decision
-7), this module keeps the per-reference event-loop *semantics* while
-running every step as a callback on one ``asyncio`` event loop:
+7), a tag reference keeps the event-loop *semantics* and owns no task
+here: the device's per-port transaction scheduler, one task, serves its
+readiness and its timeouts (see :mod:`repro.radio.txscheduler`). The
+other tasks are a Beamer's loop and the gateway's drains. This module
+runs every step as a callback on one ``asyncio`` event loop:
 
-* every logical loop is a :class:`ReactorTask` — a ``step`` callable
-  that runs one scheduling quantum and reports when it next wants to
-  run;
+* every task is a :class:`ReactorTask` — a ``step`` callable that runs
+  one scheduling quantum and reports when it next wants to run;
 * a task is **serial**: the reactor never runs the same task twice at
-  once (wakeups arriving mid-step set a rerun flag), so each reference
-  keeps its per-tag FIFO guarantees without extra locking;
+  once (wakeups arriving mid-step set a rerun flag), so the scheduler
+  keeps each reference's per-tag FIFO guarantees without extra locking;
 * tasks never sleep on the loop — a task waiting for a retry interval,
-  an operation deadline, or a tag to reappear *returns*, and is
-  re-queued by the deadline heap or an external :meth:`ReactorTask.wake`
-  (field events, enqueues, clock advances);
+  a deadline, or a tag to reappear *returns*, and is re-queued by the
+  deadline heap or an external :meth:`ReactorTask.wake` (field events,
+  enqueues, clock advances);
 * the loop thread starts on the first wake and is the only thread a
-  reactor ever owns; an idle task is a small Python object with no
-  stack, no handle and no timer, so a process holds 100k idle
-  references at near-zero CPU (``benchmarks/test_bench_async.py``).
+  reactor ever owns; an idle reference costs the reactor nothing at
+  all, so a process holds 100k idle references at near-zero CPU
+  (``benchmarks/test_bench_async.py``).
 
 Time handling is fully event-driven. The deadline heap is serviced by
 **one** ``loop.call_later`` armed at the earliest deadline (real
 clock); with a :class:`~repro.clock.ManualClock` the reactor subscribes
 to advance notifications instead, so simulated time only needs to move
-for deadlines to fire. Clocks that support neither fall back to a
-coarse real-time poll.
+for deadlines to fire. A clock that does not notify is waited on as
+real time.
 """
 
 from __future__ import annotations
@@ -50,10 +52,6 @@ from repro.clock import Clock, SystemClock
 # ``None`` for "idle until woken externally", or an absolute clock time
 # ("now or earlier" means immediately).
 StepFn = Callable[[], Optional[float]]
-
-# Fallback real-time slice for exotic clocks that are neither a
-# SystemClock nor advance-notifying; never used with the shipped clocks.
-_FALLBACK_POLL_SECONDS = 0.01
 
 _IDLE = 0  # not scheduled; runs only when woken
 _QUEUED = 1  # in the ready queue, a loop callback will pick it up
@@ -117,9 +115,10 @@ class Reactor:
     """One ``asyncio`` loop driving many serial tasks by deadline.
 
     One reactor per simulated device (see ``AndroidDevice.reactor``);
-    all of the device's tag references, its transaction scheduler and
-    its lease keepers share the loop. Constructing a reactor is cheap —
-    the loop thread starts on the first wake (or :meth:`start`).
+    the device's transaction scheduler, which serves all of its tag
+    references, and its Beamers share the loop. Constructing a reactor
+    is cheap — the loop thread starts on the first wake (or
+    :meth:`start`).
 
     ``mode`` takes only ``"asyncio"``. It stays for the ``perfbench/``
     scripts that pass ``mode="asyncio"`` and goes with that argument in
@@ -156,9 +155,8 @@ class Reactor:
         self._stopped = False
         self._steps = 0
         # How deadlines are waited for: an advance-notifying clock wakes
-        # us, a real clock gets an exact timed wait, anything else polls.
+        # us, any other clock gets an exact timed wait.
         self._clock_notifies = hasattr(self._clock, "add_listener")
-        self._clock_is_realtime = isinstance(self._clock, SystemClock)
 
     # -- introspection ---------------------------------------------------------
 
@@ -367,8 +365,6 @@ class Reactor:
             # An advance-notifying clock re-services on the next advance;
             # nothing to arm — simulated time never passes on its own.
             return
-        if self._clock_is_realtime:
-            delay = max(deadline - now, 0.0)
-        else:
-            delay = _FALLBACK_POLL_SECONDS
-        self._timer_handle = self._loop.call_later(delay, self._service_timers)
+        self._timer_handle = self._loop.call_later(
+            max(deadline - now, 0.0), self._service_timers
+        )

@@ -73,8 +73,6 @@ class FleetGateway:
         shards: int = 4,
         max_queue: int = 8192,
         max_batch: int = 256,
-        latency_window: int = 4096,
-        history_depth: int = 32,
         window_seconds: float = 60.0,
         bucket_seconds: float = 5.0,
     ) -> None:
@@ -91,8 +89,6 @@ class FleetGateway:
                 self._clock,
                 max_queue=max_queue,
                 max_batch=max_batch,
-                latency_window=latency_window,
-                history_depth=history_depth,
                 window_seconds=window_seconds,
                 bucket_seconds=bucket_seconds,
                 on_idle=self._notify_idle,

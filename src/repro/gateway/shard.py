@@ -41,6 +41,10 @@ from repro.gateway.events import LEASE_KINDS, ScanEvent
 from repro.gateway.views import LeaseBoard, StationWindow, TravelHistory, bucket_horizon
 from repro.metrics.fairness import LatencySummary
 
+# Ingest-latency samples kept per shard, and scans kept per tag history.
+_LATENCY_WINDOW = 4096
+_HISTORY_DEPTH = 32
+
 
 class IngestShard:
     """Queue + drain task + the views for one hash slice of the fleet."""
@@ -52,8 +56,6 @@ class IngestShard:
         clock: Clock,
         max_queue: int = 8192,
         max_batch: int = 256,
-        latency_window: int = 4096,
-        history_depth: int = 32,
         window_seconds: float = 60.0,
         bucket_seconds: float = 5.0,
         on_idle: Optional[Callable[[], None]] = None,
@@ -62,7 +64,6 @@ class IngestShard:
         self._clock = clock
         self._max_queue = max(1, max_queue)
         self._max_batch = max(1, max_batch)
-        self._history_depth = history_depth
         self._window_seconds = window_seconds
         self._bucket_seconds = bucket_seconds
         # Fires (outside locks) whenever a drain step leaves the queue
@@ -85,7 +86,7 @@ class IngestShard:
         self._views_lock = threading.Lock()
         self.ingested = 0  # events applied to views (counts summed)
         self.batches = 0
-        self._latencies: Deque[float] = deque(maxlen=max(1, latency_window))
+        self._latencies: Deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self._travel: Dict[str, TravelHistory] = {}
         self._stations: Dict[str, StationWindow] = {}
         self._lease_board = LeaseBoard()
@@ -188,7 +189,7 @@ class IngestShard:
                 if kind == "scan" or kind == "save":
                     history = travel.get(event.tag_uid)
                     if history is None:
-                        history = TravelHistory(event.tag_uid, self._history_depth)
+                        history = TravelHistory(event.tag_uid, _HISTORY_DEPTH)
                         travel[event.tag_uid] = history
                     history.observe(event.station, event.at_seconds, event.count)
                 elif kind in LEASE_KINDS:

@@ -32,7 +32,6 @@ class Scenario:
         default_link: Optional[object] = None,
         clock=None,
         spatial: bool = False,
-        spatial_seed: int = 0,
         transport: Optional[object] = None,
     ) -> None:
         if spatial:
@@ -42,7 +41,6 @@ class Scenario:
                 clock=clock,
                 timing=timing,
                 default_link=default_link,
-                seed=spatial_seed,
                 transport=transport,
             )
         else:

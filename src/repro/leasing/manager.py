@@ -31,7 +31,7 @@ import threading
 from typing import Any, List, Optional, Tuple
 
 from repro.core.listeners import ListenerLike, as_callback
-from repro.core.reference import TagReference
+from repro.core.reference import DEFAULT_TIMEOUT_SECONDS, TagReference
 from repro.errors import LeaseError
 from repro.leasing.lease import Lease, join_lease, split_lease
 from repro.ndef.message import NdefMessage
@@ -258,7 +258,7 @@ class LeaseManager:
             renewed(lease)
             self._notify_lease("renewed")
 
-        base = self._reference.default_timeout if timeout is None else timeout
+        base = DEFAULT_TIMEOUT_SECONDS if timeout is None else timeout
         operation = self._reference.write_raw(
             message_factory=build_message,
             on_written=after_write,

@@ -4,7 +4,8 @@ NFC Type 2 transfers are slow relative to application code -- that is the
 whole reason the paper forbids blocking the main thread on them. The
 timing model converts a byte count into a latency that the port sleeps on
 the *calling* thread (faithful to the blocking Android API; MORENA moves
-that block onto the reference's private event loop thread).
+that block onto the device reactor's loop thread, in the port's
+transaction scheduler).
 
 The per-operation cost splits into two physical components:
 

@@ -1,9 +1,9 @@
 """The per-port radio transaction scheduler: batch round-trips per tap.
 
-The reactor (PR 1) multiplexes thousands of reference event loops onto
-one loop, and coalescing (PR 2/4) removes redundant writes *within*
-one reference. What neither touches is the physical cost structure: every
-operation still pays the full per-round-trip overhead — field activation,
+The reactor multiplexes a device's tasks onto one loop, and write
+coalescing removes redundant writes *within* one reference. What
+neither touches is the physical cost structure: every operation still
+pays the full per-round-trip overhead — field activation,
 anticollision, select — because references issue ``port.read_ndef`` /
 ``write_ndef`` one at a time with no knowledge of each other. On real
 hardware that connect cost dominates short exchanges, so N references
@@ -15,7 +15,11 @@ application code and the reference API never see it):
 
 * every device owns one :class:`PortTransactionScheduler` (lazily, see
   ``AndroidDevice.tx_scheduler``); every tag reference registers itself
-  keyed by its simulated tag, and all of its radio work runs here;
+  keyed by its simulated tag, and all of its radio work runs here. A
+  reference owns no reactor task: this scheduler serves its readiness
+  and its timeouts too. Each reference arms its earliest deadline on
+  the scheduler's one timeout heap, and every step first times out the
+  references whose armed deadline fell due;
 * references and field events mark tags runnable on a
   :class:`PortReadyQueue` (a bulk field entry marks its whole cohort
   before the drain wakes); the scheduler runs as a **single serial
@@ -90,6 +94,8 @@ drain loop relies on.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import threading
 from typing import Dict, Hashable, Iterable, List, Optional, TYPE_CHECKING, Tuple
@@ -322,10 +328,11 @@ class PortTransactionScheduler:
 
     Created once per device (``AndroidDevice.tx_scheduler``). Every tag
     reference registers here; the scheduler owns all its radio execution
-    while its tag is in the field. Deadlines, retries while absent,
-    cancellation and listener settlement stay with each reference —
-    this layer only decides *when the radio speaks and for whom*, under
-    the cross-tag service policy (see module docstring).
+    while its tag is in the field, and runs its timeouts when they fall
+    due. The queue rules, cancellation and listener settlement stay with
+    each reference — this layer decides *when the radio speaks and for
+    whom*, under the cross-tag service policy (see module docstring),
+    and when a reference's deadlines are checked.
     """
 
     def __init__(
@@ -347,6 +354,10 @@ class PortTransactionScheduler:
         self._lock = threading.Lock()
         self._references: Dict[SimulatedTag, List["TagReference"]] = {}
         self._ready = PortReadyQueue()
+        # (deadline, seq, reference) entries armed by references; the
+        # reactor wakes this task at each through ``schedule_at``.
+        self._timeouts: List[Tuple[float, int, "TagReference"]] = []
+        self._timeout_seq = itertools.count()
         self._closed = False
         self._policy = policy
         # Statistics, exposed for tests and benchmarks. The scalar
@@ -470,6 +481,16 @@ class PortTransactionScheduler:
         self._ready.mark(tag)
         self._task.wake()
 
+    def arm_timeout(self, reference: "TagReference", deadline: float) -> None:
+        """Call ``reference.expire_due()`` once ``deadline`` has passed;
+        called from any thread (never under the reference's queue lock)."""
+        with self._lock:
+            if self._closed:
+                return
+            entry = (deadline, next(self._timeout_seq), reference)
+            heapq.heappush(self._timeouts, entry)
+        self._task.schedule_at(deadline)
+
     def _on_field_events(self, events: List[FieldEvent]) -> None:
         entered = []
         for event in events:
@@ -500,13 +521,15 @@ class PortTransactionScheduler:
             if self._closed:
                 return
             self._closed = True
+            self._timeouts.clear()
         self._port.remove_field_batch_listener(self._on_field_events)
         self._task.cancel()
 
     # -- the drain ----------------------------------------------------------------
 
     def _step(self) -> Optional[float]:
-        """One scheduler round: serve every ready in-field tag a visit.
+        """One scheduler round: time out what fell due, then serve every
+        ready in-field tag a visit.
 
         The policy decides each visit's budget. A rotating policy's round
         runs cheapest visit first (see :meth:`_visit_cost`); the sort is
@@ -514,13 +537,24 @@ class PortTransactionScheduler:
         next absolute time radio work becomes ready (retry backoffs,
         preempted quanta), or ``None`` to idle until the next mark+wake.
         """
+        now = self._clock.now()
+        due = []
+        with self._lock:
+            while self._timeouts and self._timeouts[0][0] <= now:
+                due.append(heapq.heappop(self._timeouts)[2])
+        for reference in due:
+            bound = reference.expire_due()
+            if bound is not None:
+                self.arm_timeout(reference, bound)
         wake: Optional[float] = None
         ready = self._ready.snapshot(rotate=self._policy.rotates)
         if self._policy.rotates and len(ready) > 1:
             ready.sort(key=lambda entry: self._visit_cost(entry[0]))
         for tag, generation in ready:
             if not self._port.environment.tag_in_field(tag, self._port):
-                self._ready.discard(tag)
+                # Keep a mark its TagEntered set since the snapshot: a
+                # reference does not mark its entering tag again.
+                self._ready.clear(tag, generation)
                 continue
             tag_wake, has_pending = self._drain_tag(tag)
             if not has_pending:

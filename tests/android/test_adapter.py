@@ -173,6 +173,17 @@ class TestBeamPush:
         finally:
             other.shutdown()
 
+    def test_pairing_with_a_shut_down_phone(self, env, phone):
+        """Shutdown detaches the adapter from the port, so a field event
+        no longer posts to the phone's quit looper."""
+        other = AndroidDevice("other", env)
+        other.start_activity(CollectingActivity)
+        other.shutdown()
+        env.bring_together(phone.port, other.port)
+        assert other.port.snep_server is None
+        with pytest.raises(BeamError):
+            phone.nfc_adapter.push_now(msg())
+
     def test_beam_not_received_when_adapter_disabled(self, env, phone):
         """Radio-level delivery succeeds, but a disabled receiving adapter
         drops the message before any activity sees it."""

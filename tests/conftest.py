@@ -104,6 +104,22 @@ def make_reference(activity, tag, phone=None, mime_type: str = TEXT_TYPE, **kwar
     return reference
 
 
+def reactor_barrier(reactor) -> None:
+    """Return once every step already queued on ``reactor`` has run.
+
+    The coroutine is posted to the loop behind them, so this also
+    catches up with a ``ManualClock`` advance: the advance posts its
+    timer service first, and that service queues the steps it wakes
+    ahead of the coroutine's first step.
+    """
+    from repro.core.aio import run_on_reactor
+
+    async def nothing():
+        return None
+
+    run_on_reactor(reactor, nothing()).result(timeout=5)
+
+
 class SequentialDrainPolicy(CrossTagPolicy):
     """The whole-tag drain baseline: each visit runs to queue exhaustion.
 

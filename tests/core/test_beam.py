@@ -19,6 +19,8 @@ from repro.errors import ConverterError, ReferenceStoppedError
 from repro.harness.scenario import Scenario
 from repro.radio.link import ScriptedLink
 
+from tests.conftest import reactor_barrier
+
 BEAM_TYPE = "application/x-beam-test"
 
 
@@ -265,6 +267,51 @@ class TestVirtualTime:
             assert sent.wait_for_count(1)
             assert receiver_app.received.wait_for_count(1)
             assert (beamer.attempts, beamer.successes) == (3, 1)
+
+    def test_a_wake_during_the_retry_pause_attempts_nothing(self):
+        clock = ManualClock()
+        with Scenario(clock=clock) as scenario:
+            sender_phone = scenario.add_phone(
+                "sender", link=ScriptedLink([False, False, False])
+            )
+            receiver_phone = scenario.add_phone("receiver")
+            scenario.pair(sender_phone, receiver_phone)
+            beamer = scenario.start(sender_phone, SenderApp).beamer
+            scenario.start(receiver_phone, ReceiverApp)
+            beamer.beam("first")
+            assert wait_until(lambda: beamer.attempts == 1)
+            beamer.beam("second")  # wakes the Beamer
+            reactor_barrier(sender_phone.reactor)
+            assert beamer.attempts == 1
+            scenario.pair(sender_phone, scenario.add_phone("third"))  # PeerEntered
+            reactor_barrier(sender_phone.reactor)
+            assert beamer.attempts == 1
+            clock.advance(_RETRY_INTERVAL_SECONDS)
+            assert wait_until(lambda: beamer.attempts == 2)
+            reactor_barrier(sender_phone.reactor)
+            assert beamer.attempts == 2
+
+    def test_beam_to_a_peer_shut_down_after_pairing_times_out(self):
+        clock = ManualClock()
+        with Scenario(clock=clock) as scenario:
+            sender_phone = scenario.add_phone("sender")
+            peer_phone = scenario.add_phone("peer")
+            beamer = scenario.start(sender_phone, SenderApp).beamer
+            scenario.start(peer_phone, ReceiverApp)
+            scenario.pair(sender_phone, peer_phone)
+            peer_phone.shutdown()
+            failed = EventLog()
+            operation = beamer.beam(
+                "gone", on_failed=lambda: failed.append("failed"), timeout=0.3
+            )
+            assert wait_until(lambda: beamer.attempts >= 1)
+            clock.advance(0.31)
+            assert failed.wait_for_count(1, timeout=2.0)
+            clock.advance(1.0)
+            sender_phone.sync()
+            assert failed.snapshot() == ["failed"]
+            assert operation.outcome is OperationOutcome.TIMED_OUT
+            assert beamer.timeouts == 1
 
     def test_timeout_fires_once_the_clock_passes_the_deadline(self):
         clock = ManualClock()

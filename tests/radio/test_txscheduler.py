@@ -12,8 +12,11 @@ import pytest
 
 from repro.android.device import AndroidDevice
 from repro.android.nfc.tech import Tag
+from repro.clock import ManualClock
 from repro.concurrent import EventLog, wait_until
+from repro.core.operations import OperationOutcome
 from repro.core.reference import TagReference
+from repro.harness.scenario import Scenario
 from repro.radio.environment import RfidEnvironment
 from repro.radio.link import ScriptedLink
 from repro.radio.timing import NO_DELAY, NOMINAL, TransferTiming
@@ -21,6 +24,8 @@ from repro.radio.txscheduler import PortReadyQueue
 
 from tests.conftest import (
     PlainNfcActivity,
+    make_reference,
+    reactor_barrier,
     string_converters,
     text_message,
     text_tag,
@@ -206,6 +211,32 @@ class TestLifecycle:
         # Idempotent, and registration after close is refused.
         scheduler.close()
 
+    def test_tag_entering_during_a_step_keeps_its_mark(
+        self, scenario, phone, activity, tag
+    ):
+        """A step that finds a marked tag absent must not drop a mark
+        that its TagEntered set meanwhile: nothing else marks it again."""
+        (ref,) = co_located_refs(activity, tag, phone, 1)
+        scheduler = phone.tx_scheduler
+        env = scenario.env
+        done = EventLog()
+        ref.write("late", on_written=done.append, timeout=30.0)
+        reactor_barrier(phone.reactor)
+        in_field = env.tag_in_field
+
+        def enters_after_the_check(simulated, port):
+            if simulated is tag and not in_field(simulated, port):
+                del env.tag_in_field
+                scenario.put(tag, phone)
+                return False
+            return in_field(simulated, port)
+
+        env.tag_in_field = enters_after_the_check
+        scheduler._ready.mark(tag)  # a stale mark of the absent tag
+        scheduler._task.wake()
+        assert done.wait_for_count(1, timeout=5)
+        assert tag.read_ndef()[0].payload == b"late"
+
     def test_work_enqueued_while_present_drains_promptly(
         self, scenario, phone, activity, tag
     ):
@@ -215,6 +246,96 @@ class TestLifecycle:
         ref.write("live", on_written=lambda _r: done.append(1))
         assert done.wait_for_count(1)
         assert wait_until(lambda: tag.read_ndef()[0].payload == b"live")
+
+
+class TestTimeouts:
+    """A reference owns no reactor task: the scheduler's one task runs
+    its timeouts from the deadlines the reference arms."""
+
+    def test_references_register_no_reactor_task(self, scenario, phone, activity):
+        phone.tx_scheduler  # the device's one task, registered up front
+        names = []
+        register = phone.reactor.register
+
+        def counting_register(step, name="task"):
+            names.append(name)
+            return register(step, name)
+
+        phone.reactor.register = counting_register
+        references = [
+            make_reference(activity, text_tag(f"t{index}"), phone)
+            for index in range(20)
+        ]
+        for reference in references:
+            reference.write("parked", timeout=30.0)
+        assert names == []
+
+    def test_many_timeouts_settle_in_a_handful_of_steps(self):
+        clock = ManualClock()
+        with Scenario(clock=clock) as scenario:
+            phone = scenario.add_phone("p")
+            activity = scenario.start(phone, PlainNfcActivity)
+            references = [
+                make_reference(activity, text_tag(f"t{index}"), phone)
+                for index in range(200)
+            ]
+            failed = EventLog()
+            steps_before = phone.reactor.steps_executed
+            operations = [
+                reference.write(
+                    "absent", on_failed=failed.append, timeout=1.0
+                )
+                for reference in references
+            ]
+            clock.advance(1.0)
+            assert failed.wait_for_count(200)
+            phone.sync()
+            clock.advance(1.0)
+            phone.sync()
+            assert len(failed) == 200
+            assert set(failed.snapshot()) == set(references)
+            assert all(
+                op.outcome is OperationOutcome.TIMED_OUT for op in operations
+            )
+            assert sum(reference.timeouts for reference in references) == 200
+            assert phone.reactor.steps_executed - steps_before <= 4
+
+    def test_later_operation_times_out_after_earlier_ones_settled(self):
+        """Settled operations leave their armed deadline behind. It must
+        re-arm at the deadline of an operation queued later, not drop it."""
+        clock = ManualClock()
+        with Scenario(clock=clock) as scenario:
+            phone = scenario.add_phone("p")
+            activity = scenario.start(phone, PlainNfcActivity)
+            tag = text_tag("seed")
+            scenario.put(tag, phone)
+            reference = make_reference(activity, tag, phone)
+            written = EventLog()
+            for text in ("a", "b"):
+                reference.write(text, on_written=written.append, timeout=1.0)
+            assert written.wait_for_count(2)
+            scenario.take(tag, phone)
+            reactor_barrier(phone.reactor)
+            failed = EventLog()
+            steps_before = phone.reactor.steps_executed
+            late = reference.write("late", on_failed=failed.append, timeout=5.0)
+            reactor_barrier(phone.reactor)
+            clock.advance(1.0)  # the settled operations' deadline
+            reactor_barrier(phone.reactor)
+            phone.sync()
+            assert len(failed) == 0
+            assert late.outcome is OperationOutcome.PENDING
+            clock.advance(4.0)
+            reactor_barrier(phone.reactor)
+            clock.advance(10.0)
+            reactor_barrier(phone.reactor)
+            phone.sync()
+            assert len(failed) == 1
+            assert late.outcome is OperationOutcome.TIMED_OUT
+            assert reference.timeouts == 1
+            # The scheduler's steps at the stale deadline and at the real
+            # one: queueing the operation costs the reactor no step.
+            assert phone.reactor.steps_executed - steps_before <= 2
 
 
 class TestPortReadyQueue:
