@@ -50,7 +50,13 @@ Guarded rows:
   under thread contention, so tolerances are generous; plus
   ``shard_isolation.sharded.cold_dropped`` (lower) -- cold-tag events
   the sharded layout sheds when a hot tag's burst overflows the whole
-  buffer, a count that is 0 by construction (any drop fails it).
+  buffer, a count that is 0 by construction (any drop fails it); plus
+  ``fleet_density.reporter_bytes``, ``.history_bytes`` and
+  ``.window_bytes`` (lower) -- traced bytes per idle reporter, per
+  one-transition travel history and per one-bucket station window,
+  which repeat to the byte on one interpreter version; at 688, 904 and
+  320 B (a reporter holding a task and hook lists from birth, a
+  ``deque`` per history, a dict per window) each row trips its guard.
 
 Usage::
 
@@ -146,6 +152,26 @@ GUARDED_ROWS = [
         "shard_isolation.sharded.cold_dropped",
         direction="lower",
         tolerance=0.0,  # an event count: 0 committed, 0 allowed
+    ),
+    # Traced bytes repeat exactly: 25% over the committed 320, 240 and
+    # 176 B stays below each of 688, 904 and 320.
+    GuardedRow(
+        "BENCH_gateway.json",
+        "fleet_density.reporter_bytes",
+        direction="lower",
+        tolerance=0.25,
+    ),
+    GuardedRow(
+        "BENCH_gateway.json",
+        "fleet_density.history_bytes",
+        direction="lower",
+        tolerance=0.25,
+    ),
+    GuardedRow(
+        "BENCH_gateway.json",
+        "fleet_density.window_bytes",
+        direction="lower",
+        tolerance=0.25,
     ),
 ]
 

@@ -18,17 +18,28 @@ Two experiments, one JSON (``BENCH_gateway.json``):
   cold-tag drops are guarded at zero, and the bench asserts that the
   one-queue layout does shed cold events, so collapsing
   ``FleetGateway`` to one queue fails it.
+* ``fleet_density`` — the gateway state the fleet holds per station
+  and per tag: tracemalloc bytes per idle ``GatewayReporter``, per
+  ``TravelHistory`` after one transition and per ``StationWindow``
+  holding one bucket, over 10,000 of each with their names built
+  beforehand. All three are guarded in CI (lower is better).
 """
 
 from __future__ import annotations
 
+import gc
 import time
+import tracemalloc
+from typing import Callable, List
 
 from repro.clock import ManualClock, SystemClock
 from repro.core.scheduler import Reactor
 from repro.gateway import (
     FleetGateway,
+    GatewayReporter,
     ScanEvent,
+    StationWindow,
+    TravelHistory,
     make_fleet_reporters,
     shard_of,
     simulate_fleet,
@@ -138,10 +149,64 @@ def run_shard_isolation(shards: int) -> dict:
         reactor.stop()
 
 
+DENSITY_OBJECTS = 10_000
+
+
+def bytes_per_object(build: Callable[[str, int], object], names: List[str]) -> float:
+    """Traced bytes that ``build(name, index)`` leaves alive, per name."""
+    kept: List[object] = [None] * len(names)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for index, name in enumerate(names):
+            kept[index] = build(name, index)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return round((after - before) / len(names), 1)
+
+
+def run_fleet_density() -> dict:
+    """Bytes per reporter, travel history and station window."""
+    clock = ManualClock()
+    reactor = Reactor(clock=clock, name="bench-density")
+    gateway = FleetGateway(reactor, clock=clock, shards=FLEET_SHARDS)
+    stations = [f"station-{index:05d}" for index in range(DENSITY_OBJECTS)]
+    uids = [f"tag-{index:06d}" for index in range(DENSITY_OBJECTS)]
+
+    def history(uid: str, index: int) -> TravelHistory:
+        travel = TravelHistory(uid)
+        travel.observe(stations[index], 3600.0 + index)
+        return travel
+
+    def window(_station: str, index: int) -> StationWindow:
+        counts = StationWindow(60.0, 5.0)
+        counts.add(3600.0 + index / DENSITY_OBJECTS)
+        return counts
+
+    try:
+        return {
+            "objects": DENSITY_OBJECTS,
+            "reporter_bytes": bytes_per_object(
+                lambda station, _index: GatewayReporter(
+                    gateway, station, reactor=reactor
+                ),
+                stations,
+            ),
+            "history_bytes": bytes_per_object(history, uids),
+            "window_bytes": bytes_per_object(window, stations),
+        }
+    finally:
+        gateway.close()
+        reactor.stop()
+
+
 def test_gateway_ingestion(benchmark):
     fleet = benchmark.pedantic(run_fleet_10k, rounds=1, iterations=1)
     single = run_shard_isolation(1)
     sharded = run_shard_isolation(ISOLATION_SHARDS)
+    density = run_fleet_density()
 
     table = Table(
         f"Fleet gateway -- {FLEET_DEVICES} devices (wall clock), then a hot "
@@ -168,6 +233,15 @@ def test_gateway_ingestion(benchmark):
         )
     table.print()
 
+    density_table = Table(
+        f"Fleet gateway state -- traced bytes per object, {DENSITY_OBJECTS} of each",
+        ["idle reporter", "history (one transition)", "window (one bucket)"],
+    )
+    density_table.add_row(
+        density["reporter_bytes"], density["history_bytes"], density["window_bytes"]
+    )
+    density_table.print()
+
     # The fleet replay must be lossless at this load.
     assert fleet["events_dropped_queue"] == 0
     assert fleet["events_ingested"] == fleet["events_recorded"]
@@ -182,6 +256,7 @@ def test_gateway_ingestion(benchmark):
         "gateway",
         {
             "fleet_10k": fleet,
+            "fleet_density": density,
             "shard_isolation": {"single": single, "sharded": sharded},
         },
     )

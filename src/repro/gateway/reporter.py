@@ -22,8 +22,10 @@ radio path**: ``record`` is an O(1) append under a short lock, with
   ManualClock advance triggers it deterministically), or the flush at
   ``max_batch``. No event waits longer than ``flush_interval``, and a
   leading flush comes at least ``flush_interval`` after the reporter's
-  previous flush. Without a reactor only the threshold flush happens,
-  inline — still just per-shard queue appends.
+  previous flush. The first event that needs the task registers it,
+  so a station that has reported nothing holds no task. Without a
+  reactor only the threshold flush happens, inline — still just
+  per-shard queue appends.
 
 The ``attach_*`` methods hook the reporter into the three middleware
 surfaces (following RAFDA's policy/logic split, the *device* code never
@@ -40,25 +42,49 @@ mentions reporting — attaching a reporter is a deployment decision):
 from __future__ import annotations
 
 import threading
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.gateway.events import ScanEvent, check_event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.discovery import TagDiscoverer
     from repro.core.reference import TagReference
+    from repro.core.scheduler import ReactorTask
     from repro.gateway.gateway import FleetGateway
     from repro.leasing.manager import LeaseManager
 
+# One shared float, so a reporter that has never flushed carries no copy.
+_NEVER_FLUSHED = float("-inf")
+
 
 class GatewayReporter:
-    """Batches one station's events toward a :class:`FleetGateway`."""
+    """Batches one station's events toward a :class:`FleetGateway`.
 
-    # While the buffer is empty: the earliest clock time at which an event
-    # flushes at once, a whole flush_interval after the last flush. While
-    # it holds events: when they are due. A class-level default, so a
-    # reporter that has never flushed carries no copy.
-    _flush_at = float("-inf")
+    A reporter that has recorded nothing holds no reactor task and no
+    hook lists: the task is registered by the first event that needs
+    the reactor, and the lists by the first ``attach_*``.
+    """
+
+    __slots__ = (
+        "_gateway",
+        "station",
+        "_reactor",
+        "_clock",
+        "_max_buffer",
+        "_max_batch",
+        "_flush_interval",
+        "_coalesce",
+        "_lock",
+        "_buffer",
+        "_flush_at",
+        "_dropped",
+        "_coalesced",
+        "_recorded",
+        "_closed",
+        "_task",
+        "_detachers",
+        "_discoverers",
+    )
 
     def __init__(
         self,
@@ -73,6 +99,7 @@ class GatewayReporter:
     ) -> None:
         self._gateway = gateway
         self.station = station
+        self._reactor = reactor
         self._clock = clock if clock is not None else gateway.clock
         self._max_buffer = max(1, max_buffer)
         self._max_batch = max(1, max_batch)
@@ -80,17 +107,18 @@ class GatewayReporter:
         self._coalesce = coalesce
         self._lock = threading.Lock()
         self._buffer: List[ScanEvent] = []
+        # While the buffer is empty: the earliest clock time at which an
+        # event flushes at once, a whole flush_interval after the last
+        # flush. While it holds events: when they are due.
+        self._flush_at = _NEVER_FLUSHED
         self._dropped = 0
         self._coalesced = 0
         self._recorded = 0
         self._closed = False
-        self._detachers: List[Callable[[], None]] = []
-        self._discoverers: List["TagDiscoverer"] = []
-        self._task = (
-            reactor.register(self._flush_step, name=f"gw-report-{station}")
-            if reactor is not None
-            else None
-        )
+        self._task: Optional["ReactorTask"] = None  # registered on first need
+        # The empty tuple until the first attach_* (it costs nothing).
+        self._detachers: Sequence[Callable[[], None]] = ()
+        self._discoverers: Sequence["TagDiscoverer"] = ()
         gateway.register_reporter(self)
 
     # -- counters --------------------------------------------------------------------
@@ -139,6 +167,7 @@ class GatewayReporter:
         at = self._clock.now()
         arm_timer = False
         flush_now = False
+        task = None
         shed = 0
         with self._lock:
             if self._closed:
@@ -167,21 +196,29 @@ class GatewayReporter:
             if depth >= self._max_batch:
                 flush_now = True
                 self._flush_at = at
-            elif opened and self._task is not None and self._flush_interval:
+            elif opened and self._reactor is not None and self._flush_interval:
                 # A buffer opened after a whole interval without a flush
                 # leads one now; any other flushes an interval after this.
                 flush_now = at >= self._flush_at
                 arm_timer = not flush_now
                 self._flush_at = at if flush_now else at + self._flush_interval
+            if (flush_now or arm_timer) and self._reactor is not None:
+                # Registered under the lock, so racing first events
+                # register one task.
+                task = self._task
+                if task is None:
+                    task = self._task = self._reactor.register(
+                        self._flush_step, name=f"gw-report-{self.station}"
+                    )
         if shed:
             self._gateway.count_reporter_drops(shed)
-        if flush_now:
-            if self._task is not None:
-                self._task.wake()
-            else:
+        if task is None:
+            if flush_now:
                 self.flush()
         elif arm_timer:
-            self._task.schedule_at(at + self._flush_interval)
+            task.schedule_at(at + self._flush_interval)
+        else:
+            task.wake()
 
     def flush(self) -> int:
         """Push everything buffered to the gateway now; returns batch size."""
@@ -226,10 +263,12 @@ class GatewayReporter:
         discoverer.add_detection_listener(on_detection)
         with self._lock:
             first = not self._discoverers
+            if first:
+                self._discoverers = []
             self._discoverers.append(discoverer)
         if first:
             self._gateway.register_stream_source(self)
-        self._detachers.append(
+        self._add_detacher(
             lambda: discoverer.remove_detection_listener(on_detection)
         )
 
@@ -245,9 +284,7 @@ class GatewayReporter:
                 self.record("save", ref.uid_hex)
 
         reference.add_telemetry_listener(on_settled)
-        self._detachers.append(
-            lambda: reference.remove_telemetry_listener(on_settled)
-        )
+        self._add_detacher(lambda: reference.remove_telemetry_listener(on_settled))
 
     def attach_lease_manager(self, manager: "LeaseManager") -> None:
         """Report ``manager``'s protocol outcomes as ``lease_*`` events."""
@@ -258,7 +295,13 @@ class GatewayReporter:
             )
 
         manager.add_lease_listener(on_lease)
-        self._detachers.append(lambda: manager.remove_lease_listener(on_lease))
+        self._add_detacher(lambda: manager.remove_lease_listener(on_lease))
+
+    def _add_detacher(self, detach: Callable[[], None]) -> None:
+        with self._lock:
+            if not self._detachers:
+                self._detachers = []
+            self._detachers.append(detach)
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -269,12 +312,13 @@ class GatewayReporter:
                 return
             self._closed = True
             detachers = self._detachers
-            self._detachers = []
+            self._detachers = ()
+            task = self._task  # no record registers one once closed
         for detach in detachers:
             detach()
         self.flush()
-        if self._task is not None:
-            self._task.cancel()
+        if task is not None:
+            task.cancel()
 
     def __repr__(self) -> str:
         return f"GatewayReporter({self.station!r}, pending={self.pending})"

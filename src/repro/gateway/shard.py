@@ -226,7 +226,7 @@ class IngestShard:
         these instead of merging copies of the windows. After every
         batch no window holds a bucket below ``_swept_horizon``, so
         while ``now_seconds``' horizon is not past it a windowed count
-        is the sum of the window's buckets; a read ahead of the last
+        is the sum of the window's bucket list; a read ahead of the last
         sweep counts through ``windowed_count``. Nothing is trimmed.
         """
         horizon = bucket_horizon(
@@ -236,7 +236,7 @@ class IngestShard:
             swept = self._swept_horizon
             if swept is not None and horizon <= swept:
                 return {
-                    station: (window.total, sum(window.buckets.values()))
+                    station: (window.total, window.held_count())
                     for station, window in self._stations.items()
                 }
             return {

@@ -3,13 +3,14 @@
 Three views, modeled on the RFID factory-backend shapes (trackerx_live's
 ``tag_travel_history`` / ``live_dashboard``):
 
-* :class:`TravelHistory` — where one tag has been: a bounded ring of
-  station *transitions* (a tag scanned 500 times at the same gate holds
-  one entry, not 500), plus lifetime scan counters.
+* :class:`TravelHistory` — where one tag has been: its last ``depth``
+  station *transitions* in a plain list (a tag scanned 500 times at the
+  same gate holds one entry, not 500), plus lifetime scan counters.
 * :class:`StationWindow` — per-station throughput over a sliding
   window, bucketed so memory is bounded by ``window/bucket`` regardless
-  of traffic, and **mergeable**: two shards' windows for the same
-  station sum bucket-wise. (Stations see many tags, so unlike the
+  of traffic, held as one list of consecutive bucket counts, and
+  **mergeable**: two shards' windows for the same station sum
+  bucket-wise. (Stations see many tags, so unlike the
   per-tag views a station's traffic is spread across every shard; the
   global dashboard number is a merge, never a shared counter.)
 * :class:`LeaseBoard` — per-tag lease-protocol outcomes; the
@@ -23,21 +24,27 @@ shard's views lock; readers go through the shard snapshot methods.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 
 class TravelHistory:
-    """One tag's station transitions, ring-buffer bounded."""
+    """One tag's station transitions, the last ``depth`` of them kept.
 
-    __slots__ = ("tag_uid", "entries", "scans", "transitions")
+    A plain list grows with the transitions a tag makes, and most tags
+    make one or two; a bounded ``deque`` allocates a whole block for
+    its first entry.
+    """
+
+    __slots__ = ("tag_uid", "entries", "depth", "scans", "transitions")
 
     def __init__(self, tag_uid: str, depth: int = 32) -> None:
         self.tag_uid = tag_uid
-        # (station, first_seen_at_seconds) per *transition*.
-        self.entries: Deque[Tuple[str, float]] = deque(maxlen=max(1, depth))
+        # (station, first_seen_at_seconds) per *transition*, oldest first.
+        self.entries: List[Tuple[str, float]] = []
+        self.depth = max(1, depth)
         self.scans = 0  # lifetime sightings, coalesced counts included
-        self.transitions = 0  # lifetime station changes (ring may forget)
+        self.transitions = 0  # lifetime station changes (entries may forget)
 
     @property
     def current_station(self) -> Optional[str]:
@@ -45,8 +52,11 @@ class TravelHistory:
 
     def observe(self, station: str, at_seconds: float, count: int = 1) -> None:
         self.scans += count
-        if not self.entries or self.entries[-1][0] != station:
-            self.entries.append((station, at_seconds))
+        entries = self.entries
+        if not entries or entries[-1][0] != station:
+            entries.append((station, at_seconds))
+            if len(entries) > self.depth:
+                del entries[0]
             self.transitions += 1
 
     def as_dict(self) -> Dict[str, object]:
@@ -70,35 +80,106 @@ def bucket_horizon(
 
 
 class StationWindow:
-    """Bucketed sliding-window event counter for one station."""
+    """Bucketed sliding-window event counter for one station.
 
-    __slots__ = ("window_seconds", "bucket_seconds", "buckets", "total")
+    The counts are one list of consecutive buckets: ``_counts[k]`` holds
+    bucket ``_first + k``. A station's live buckets are neighbours
+    inside one window, so this costs a pointer per bucket where a dict
+    costs an entry and a key object each. ``at_seconds`` is the
+    device's clock reading, so one event can land arbitrarily far from
+    the rest; a bucket more than a window's worth of empty buckets
+    away from the run is counted in ``_far`` instead, and no stamp pads
+    the run with its gap.
+    """
+
+    __slots__ = ("window_seconds", "bucket_seconds", "total", "_first", "_counts", "_far")
 
     def __init__(self, window_seconds: float = 60.0, bucket_seconds: float = 5.0) -> None:
         if window_seconds <= 0 or bucket_seconds <= 0:
             raise ValueError("window and bucket sizes must be positive")
         self.window_seconds = window_seconds
         self.bucket_seconds = bucket_seconds
-        self.buckets: Dict[int, int] = {}  # bucket index -> event count
         self.total = 0  # lifetime, never trimmed
+        self._first = 0
+        self._counts: List[int] = []
+        self._far: Optional[Dict[int, int]] = None  # bucket index -> count
+
+    @property
+    def buckets(self) -> Mapping[int, int]:
+        """Bucket index -> event count for every non-empty bucket held.
+
+        A read-only view built per call: the views' own paths never
+        read it.
+        """
+        held = {
+            self._first + offset: count
+            for offset, count in enumerate(self._counts)
+            if count
+        }
+        if self._far:
+            for index, count in self._far.items():
+                held[index] = held.get(index, 0) + count
+        return MappingProxyType(held)
 
     def add(self, at_seconds: float, count: int = 1) -> None:
-        index = int(at_seconds // self.bucket_seconds)
-        self.buckets[index] = self.buckets.get(index, 0) + count
+        self._add_bucket(int(at_seconds // self.bucket_seconds), count)
         self.total += count
+
+    def _add_bucket(self, index: int, count: int) -> None:
+        counts = self._counts
+        offset = index - self._first
+        if 0 <= offset < len(counts):
+            counts[offset] += count
+            return
+        if not counts:
+            self._first = index
+            self._counts = [count]
+            return
+        # The empty buckets between the run and this one.
+        gap = offset - len(counts) if offset > 0 else -offset - 1
+        if gap > self.window_seconds // self.bucket_seconds:
+            far = self._far
+            if far is None:
+                far = self._far = {}
+            far[index] = far.get(index, 0) + count
+        elif offset > 0:
+            counts.extend([0] * gap)
+            counts.append(count)
+        else:  # a late event below the run
+            counts[:0] = [count] + [0] * gap
+            self._first = index
 
     def trim(self, now_seconds: float) -> None:
         """Drop buckets that slid out of the window."""
         horizon = bucket_horizon(now_seconds, self.window_seconds, self.bucket_seconds)
-        stale = [index for index in self.buckets if index < horizon]
-        for index in stale:
-            del self.buckets[index]
+        stale = horizon - self._first
+        if stale > 0 and self._counts:
+            del self._counts[:stale]
+            self._first = horizon
+        far = self._far
+        if far:
+            for index in [index for index in far if index < horizon]:
+                del far[index]
+            if not far:
+                self._far = None
 
     def windowed_count(self, now_seconds: float) -> int:
         horizon = bucket_horizon(now_seconds, self.window_seconds, self.bucket_seconds)
-        return sum(
-            count for index, count in self.buckets.items() if index >= horizon
-        )
+        skip = horizon - self._first
+        held = sum(self._counts[skip:]) if skip > 0 else sum(self._counts)
+        if self._far:
+            held += sum(
+                count for index, count in self._far.items() if index >= horizon
+            )
+        return held
+
+    def held_count(self) -> int:
+        """Events in every bucket held: the windowed count while nothing
+        held has slid out of the window."""
+        held = sum(self._counts)
+        if self._far:
+            held += sum(self._far.values())
+        return held
 
     def rate_per_second(self, now_seconds: float) -> float:
         return self.windowed_count(now_seconds) / self.window_seconds
@@ -111,9 +192,9 @@ class StationWindow:
         ):
             raise ValueError("cannot merge StationWindows with different geometry")
         merged = StationWindow(self.window_seconds, self.bucket_seconds)
-        merged.buckets = dict(self.buckets)
-        for index, count in other.buckets.items():
-            merged.buckets[index] = merged.buckets.get(index, 0) + count
+        for part in (self, other):
+            for index, count in part.buckets.items():
+                merged._add_bucket(index, count)
         merged.total = self.total + other.total
         return merged
 

@@ -604,7 +604,10 @@ class PortTransactionScheduler:
                 ]
                 views = [(r, v) for r, v in views if v.head_id is not None]
                 if not views:
-                    return None, has_pending
+                    # Whatever earlier iterations found pending is
+                    # settled: the ready mark must go, or the idle tag
+                    # would count as a neighbour that preempts others.
+                    return None, False
                 has_pending = True
 
                 if budget is None:

@@ -4,6 +4,9 @@ import asyncio
 import heapq
 import itertools
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -177,6 +180,89 @@ class TestBuffering:
         reporter.record("scan", "tag-1")
         assert reporter.pending == 0
         assert len(sink.delivered) == 1
+
+
+class SlowRegisterReactor(InertReactor):
+    """Keeps each registered name; each registration is slow enough for
+    racing callers to overlap it."""
+
+    def __init__(self):
+        super().__init__()
+        self.names = []
+
+    def register(self, step, name="task"):
+        time.sleep(0.001)
+        self.names.append(name)
+        return super().register(step, name)
+
+
+class TestTaskRegistration:
+    """A reporter registers its flush task when its first event needs
+    the reactor, not when it is built."""
+
+    def test_one_task_from_the_first_buffered_event_on(self):
+        clock = ManualClock()
+        reactor = InertReactor()
+        sink = SinkGateway(clock)
+        reporter = GatewayReporter(sink, "gate-0", reactor=reactor, max_batch=8)
+        assert reactor.tasks == []
+        reporter.record("scan", "tag-0")
+        (task,) = reactor.tasks
+        assert task.wakes == 1  # a never-flushed reporter leads at once
+        rng = random.Random(7)
+        for index in range(1, 300):
+            clock.advance(rng.choice([0.0, 0.01, 0.2]))
+            reporter.record("scan", f"tag-{index}")
+            if rng.random() < 0.3:
+                task.run()
+        assert reactor.tasks == [task]
+        assert task.scheduled and task.wakes > 1  # timed and leading flushes
+        assert reporter.recorded == 300
+
+    def test_racing_first_records_register_one_task(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for attempt in range(10):
+                reactor = SlowRegisterReactor()
+                # max_batch=1: every event wakes the task, so each of
+                # the racing first events needs it.
+                reporter = GatewayReporter(
+                    SinkGateway(), f"gate-{attempt}", reactor=reactor, max_batch=1
+                )
+                start = threading.Barrier(8)
+
+                def first_record(index):
+                    start.wait(timeout=5)
+                    reporter.record("scan", f"tag-{index}")
+
+                threads = [
+                    threading.Thread(target=first_record, args=(index,))
+                    for index in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=5)
+                assert not any(thread.is_alive() for thread in threads)
+                assert reactor.names == [f"gw-report-gate-{attempt}"]
+                assert reporter.recorded == 8
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_close_cancels_the_task_if_there_is_one(self):
+        reactor = InertReactor()
+        idle = GatewayReporter(SinkGateway(), "gate-0", reactor=reactor)
+        idle.close()
+        assert reactor.tasks == []
+        busy = GatewayReporter(SinkGateway(), "gate-1", reactor=reactor)
+        busy.record("scan", "tag-0")
+        (task,) = reactor.tasks
+        assert not task.cancelled
+        busy.close()
+        assert task.cancelled
+        busy.record("scan", "tag-1")  # dropped: no task is registered again
+        assert reactor.tasks == [task]
 
 
 class TestTimerFlush:

@@ -19,6 +19,7 @@ from repro.android.nfc.tech import Tag
 from repro.errors import MorenaError
 from repro.harness.scenario import Scenario
 from repro.radio.link import ScriptedLink
+from repro.radio.timing import NOMINAL
 from repro.radio.txscheduler import (
     _QUANTUM_UNITS,
     CrossTagPolicy,
@@ -223,6 +224,31 @@ class TestCrossTagInterleaving:
         assert done.wait_for_count(24)
         assert phone.port.connects - connects_before == 1
         assert phone.tx_scheduler.preemptions == 0
+
+    def test_settled_tag_does_not_preempt_its_neighbour(self):
+        """A and B bulk-enter with one write on A and twelve (two quanta)
+        on B. A's visit settles its write first and leaves nothing
+        pending, so A must lose its ready mark: a stale mark counts A as
+        a waiting neighbour, and B is preempted at its quantum for a
+        visit to A that finds nothing to do, paying a third connect."""
+        with Scenario(clock=ManualClock(), timing=NOMINAL) as scenario:
+            phone = scenario.add_phone("settled-phone")
+            activity = scenario.start(phone, PlainNfcActivity)
+            a_tag, b_tag = text_tag("a"), text_tag("b")
+            (a,) = co_located_refs(activity, a_tag, phone, 1)
+            (b,) = co_located_refs(activity, b_tag, phone, 1)
+            done = EventLog()
+            a.write("a0", on_written=lambda _r: done.append("a0"))
+            for index in range(12):
+                b.write(
+                    f"b{index}", coalesce=False, on_written=lambda _r: done.append(1)
+                )
+            connects_before = phone.port.connects
+            scenario.env.move_tags_into_field([a_tag, b_tag], phone.port)
+            assert done.wait_for_count(13)
+            assert done.snapshot()[0] == "a0"
+            assert phone.port.connects - connects_before == 2
+            assert phone.tx_scheduler.preemptions == 0
 
 
 class TestCheapestVisitFirst:
