@@ -37,7 +37,13 @@ Guarded rows:
   CPU-bound, so noisier across machines than the sleep-bound rows);
 * ``BENCH_async.json`` ``idle_density.asyncio.kb_per_reference`` --
   middleware memory per idle reference at 100k references on the
-  asyncio backend (the density tentpole);
+  asyncio backend (the density tentpole); plus
+  ``idle_density.asyncio.reference_bytes`` (lower) -- traced bytes per
+  idle reference over 10,000, which repeat to the byte on one
+  interpreter version: 25% over the committed 539 B stays below the
+  838 B of a reference with an eager connectivity list and a per-tag
+  port listener, and 20% over the committed 0.711 KB stays below that
+  reference's 1.063 KB;
 * ``BENCH_lint.json`` ``repo_lint.wall_seconds`` -- the repo-wide
   morelint sweep: flow-aware analysis must stay interactive (very
   loose tolerance, wall time on shared runners is noisy);
@@ -121,6 +127,12 @@ GUARDED_ROWS = [
         "idle_density.asyncio.kb_per_reference",
         direction="lower",
         tolerance=0.20,  # RSS-derived: page-rounding wiggle across kernels
+    ),
+    GuardedRow(
+        "BENCH_async.json",
+        "idle_density.asyncio.reference_bytes",
+        direction="lower",
+        tolerance=0.25,  # traced bytes: exact on one interpreter version
     ),
     GuardedRow(
         "BENCH_lint.json",

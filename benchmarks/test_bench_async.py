@@ -14,6 +14,11 @@ Three measurements, merged into ``BENCH_async.json``:
   middleware -- is excluded), plus idle CPU once every reference holds
   a parked pending write whose deadline sits on the reactor's timer
   heap (a single armed ``call_later``, however many deadlines park);
+  and tracemalloc bytes per idle reference over 10,000 references
+  (``reference_bytes``), with the tags and their ``Tag`` handles built
+  first. Traced bytes repeat to the byte on one interpreter version,
+  so this row sees a slot or a list per reference that RSS page
+  rounding hides;
 * wakeup latency -- p50/p99 lag between a ``schedule_at`` deadline and
   the step actually running, under a realtime clock;
 * throughput -- a write+read per reference across in-field references.
@@ -27,6 +32,7 @@ test harness.
 import gc
 import threading
 import time
+import tracemalloc
 
 from repro.android.nfc.tech import Tag
 from repro.clock import SystemClock
@@ -50,6 +56,7 @@ ASYNCIO_REFERENCES = 100_000  # the tentpole population
 # density of thread-per-reference" floor allowed against the measured
 # 17.7 KB of a thread-per-reference reference.
 KB_PER_REFERENCE_CEILING = 1.75
+TRACED_REFERENCES = 10_000  # the reference_bytes population
 PARK_TIMEOUT = 600.0  # pending-write timeout while tags are absent
 
 TIMER_TASKS = 400
@@ -108,6 +115,31 @@ def _run_density_phase(count: int) -> dict:
             "reactor_threads": phone.reactor.thread_count,
             "process_threads": threading.active_count(),
         }
+
+
+def _traced_reference_bytes(count: int) -> float:
+    """Traced bytes per idle reference, built through the factory after
+    its tags and ``Tag`` handles (so neither is counted)."""
+    with Scenario() as scenario:
+        phone = scenario.add_phone("density-traced")
+        activity = scenario.start(phone, PlainNfcActivity)
+        phone.tx_scheduler  # built once per device: not a per-reference cost
+        read_conv, write_conv = string_converters()
+        factory = activity.reference_factory
+        handles = [Tag(tag, phone.port) for tag in make_tags(count)]
+        references = [None] * count
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index, handle in enumerate(handles):
+                references[index] = factory.get_or_create(
+                    handle, read_conv, write_conv
+                )[0]
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return round((after - before) / count, 1)
 
 
 def _run_wakeup_latency() -> dict:
@@ -187,6 +219,7 @@ def test_hundred_thousand_idle_references(benchmark):
     asyncio_mode = benchmark.pedantic(
         _run_density_phase, args=(ASYNCIO_REFERENCES,), rounds=1, iterations=1
     )
+    asyncio_mode["reference_bytes"] = _traced_reference_bytes(TRACED_REFERENCES)
 
     table = Table(
         f"Idle reference density -- {ASYNCIO_REFERENCES:,} references on one "
@@ -196,6 +229,10 @@ def test_hundred_thousand_idle_references(benchmark):
     table.add_row("references", asyncio_mode["references"])
     table.add_row("KB / idle reference", asyncio_mode["kb_per_reference"])
     table.add_row("references / MB", asyncio_mode["refs_per_mb"])
+    table.add_row(
+        f"traced bytes / idle reference ({TRACED_REFERENCES:,})",
+        asyncio_mode["reference_bytes"],
+    )
     table.add_row(
         f"idle CPU over {IDLE_WINDOW_SECONDS}s (s)",
         asyncio_mode["idle_cpu_seconds"],

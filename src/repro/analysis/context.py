@@ -13,9 +13,9 @@ rules keep asking for:
   there defeats the plan cache (MOR004).
 * **Off-looper contexts** -- function bodies that explicitly run on
   *other* threads: ``threading.Thread`` targets, raw field listeners
-  (``add_field_listener`` / ``add_tag_listener`` run on the radio
-  thread), and negotiated-handover responders (run on the requesting
-  device's thread). Touching the activity's mutable state there without
+  (``add_field_listener`` runs them on the radio thread), and
+  negotiated-handover responders (run on the requesting device's
+  thread). Touching the activity's mutable state there without
   going through the looper is a data race (MOR006).
 * **Thing classes** -- classes transitively derived from ``Thing``
   (name-based, fixpoint within the file), with their ``__transient__``
@@ -108,7 +108,6 @@ THING_LEVEL_METHODS = frozenset(
 OFF_LOOPER_REGISTRARS = frozenset(
     {
         "add_field_listener",
-        "add_tag_listener",
         "set_handover_responder",
         "set_snep_get_provider",
     }
@@ -432,7 +431,7 @@ class FileContext:
                 target = get_keyword(call, "target")
                 if target is not None and not is_none(target.value):
                     add(target.value, call, "thread-target")
-            elif method in ("add_field_listener", "add_tag_listener"):
+            elif method == "add_field_listener":
                 for arg in call.args:
                     add(arg, call, "field-listener")
             elif method in ("set_handover_responder", "set_snep_get_provider"):

@@ -3,10 +3,10 @@
 MORENA's listeners run on the main looper precisely so applications
 never need locks. But callbacks registered *below* the listener layer do
 not enjoy that guarantee: ``threading.Thread`` targets run on their own
-thread, raw field listeners (``add_field_listener`` / ``add_tag_listener``)
-run on the radio thread, and negotiated-handover responders run on the
-*requesting* device's thread ("keep it short and thread-safe", says the
-adapter). A closure there that assigns to captured mutable state
+thread, raw field listeners (``add_field_listener``) run on the radio
+thread, and negotiated-handover responders run on the *requesting*
+device's thread ("keep it short and thread-safe", says the adapter). A
+closure there that assigns to captured mutable state
 (``self.count += 1``) races every listener reading the same field on the
 looper. The mutation must either hop onto the looper
 (``looper.post(...)``) or sit under an explicit lock.

@@ -23,7 +23,9 @@ Paper section 3.2. A tag reference
   programmer never manages concurrency;
 * caches the last content seen on the tag for synchronous access
   (with the staleness caveat the paper spells out);
-* reports connectivity changes to registered observers.
+* reports connectivity changes to registered observers. The same
+  scheduler tells it when its tag enters or leaves the field; a
+  reference registers no listener on the port.
 
 The queue rules -- FIFO, write coalescing, ``merge_key`` merges, fences,
 per-operation deadlines, revival of a superseded write and read dedup --
@@ -81,7 +83,6 @@ from repro.errors import (
     TagWornOutError,
 )
 from repro.ndef.message import NdefMessage
-from repro.radio.events import FieldEvent, TagEntered, TagLeft
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.android.looper import Looper
@@ -190,9 +191,9 @@ class TagReference:
         self._stopped = False
         self._cached_object: Any = None
         self._cached_message: Optional[NdefMessage] = None
-        self._connectivity_listeners: List[ConnectivityListener] = []
-        # Lazily created (None until the first add): at 100k idle
+        # Both lazily created (None until the first add): at 100k idle
         # references an empty list per instance is real memory.
+        self._connectivity_listeners: Optional[List[ConnectivityListener]] = None
         self._telemetry_listeners: Optional[List[Callable[..., None]]] = None
 
         # Statistics, exposed for tests and benchmarks.
@@ -212,15 +213,14 @@ class TagReference:
         # The earliest deadline armed on the scheduler's timeout heap
         # and not yet served; inf while none is.
         self._armed_at = math.inf
-        self._batch.register(self)
         # Usually created upon discovery (i.e. in the field), but a
         # reference can also be created for an already-departed tag --
         # query the field so the first connectivity transition a
         # listener sees is never against a stale initial state.
         self._connected = self.is_connected
-        # Last: a field event may be dispatched the moment the listener
-        # is registered, and its handler needs every slot above.
-        self._port.add_tag_listener(tag.simulated, self._on_field_event)
+        # Last: the scheduler routes the tag's field events here from the
+        # moment it registers, and set_connected needs every slot above.
+        self._batch.register(self)
 
     # -- identity & cached state --------------------------------------------------
 
@@ -292,11 +292,16 @@ class TagReference:
         """Observe connectivity changes; called as ``listener(ref, connected)``
         on the activity's main thread."""
         with self._lock:
+            if self._connectivity_listeners is None:
+                self._connectivity_listeners = []
             self._connectivity_listeners.append(listener)
 
     def remove_connectivity_listener(self, listener: ConnectivityListener) -> None:
         with self._lock:
-            if listener in self._connectivity_listeners:
+            if (
+                self._connectivity_listeners is not None
+                and listener in self._connectivity_listeners
+            ):
                 self._connectivity_listeners.remove(listener)
 
     def add_telemetry_listener(self, listener: Callable[..., None]) -> None:
@@ -323,18 +328,18 @@ class TagReference:
             ):
                 self._telemetry_listeners.remove(listener)
 
-    def _on_field_event(self, event: FieldEvent) -> None:
-        if isinstance(event, TagEntered) and event.tag is self._tag.simulated:
-            self._set_connected(True)
-        elif isinstance(event, TagLeft) and event.tag is self._tag.simulated:
-            self._set_connected(False)
+    def set_connected(self, connected: bool) -> None:
+        """Record that the tag entered (``True``) or left the field.
 
-    def _set_connected(self, connected: bool) -> None:
+        Called by the transaction scheduler on each of the tag's field
+        events. A change posts every connectivity listener on the main
+        looper; a repeat, or any call after :meth:`stop`, posts nothing.
+        """
         with self._lock:
-            if self._connected == connected:
+            if self._stopped or self._connected == connected:
                 return
             self._connected = connected
-            listeners = list(self._connectivity_listeners)
+            listeners = list(self._connectivity_listeners or ())
         for listener in listeners:
             self._post_listener(listener, self, connected)
 
@@ -551,7 +556,6 @@ class TagReference:
             operation.outcome = OperationOutcome.CANCELLED
             if notify_pending:
                 self._post_listener(operation.on_failure, self)
-        self._port.remove_tag_listener(self._tag.simulated, self._on_field_event)
         # A timeout armed earlier finds the queue drained when it falls due.
         self._batch.unregister(self)
 

@@ -261,6 +261,10 @@ class GatewayReporter:
             self.record("scan", reference.uid_hex, detail=event)
 
         discoverer.add_detection_listener(on_detection)
+        if not self._add_detacher(
+            lambda: discoverer.remove_detection_listener(on_detection)
+        ):
+            return
         with self._lock:
             first = not self._discoverers
             if first:
@@ -268,9 +272,6 @@ class GatewayReporter:
             self._discoverers.append(discoverer)
         if first:
             self._gateway.register_stream_source(self)
-        self._add_detacher(
-            lambda: discoverer.remove_detection_listener(on_detection)
-        )
 
     def attach_reference(self, reference: "TagReference") -> None:
         """Report ``reference``'s landed writes as ``save`` events."""
@@ -297,11 +298,20 @@ class GatewayReporter:
         manager.add_lease_listener(on_lease)
         self._add_detacher(lambda: manager.remove_lease_listener(on_lease))
 
-    def _add_detacher(self, detach: Callable[[], None]) -> None:
+    def _add_detacher(self, detach: Callable[[], None]) -> bool:
+        """Keep ``detach`` for :meth:`close`; returns whether it was kept.
+
+        A closed reporter keeps nothing: it runs ``detach`` at once.
+        """
         with self._lock:
-            if not self._detachers:
-                self._detachers = []
-            self._detachers.append(detach)
+            closed = self._closed
+            if not closed:
+                if not self._detachers:
+                    self._detachers = []
+                self._detachers.append(detach)
+        if closed:
+            detach()
+        return not closed
 
     # -- lifecycle ------------------------------------------------------------------
 

@@ -5,7 +5,10 @@ simulated phone) and tracks which tags are currently inside which port's
 field, plus which ports are in Beam range of each other. Scenario scripts
 and tests mutate the world through ``move_tag_into_field`` /
 ``remove_tag_from_field`` / ``tap`` / ``bring_together``; ports observe the
-changes through field events.
+changes through field events. A single-tag move is a bulk move of one:
+``move_tag_into_field`` calls ``move_tags_into_field`` with a one-tag
+tuple, so every field change reaches a port through
+``NfcAdapterPort.dispatch_field_events``.
 
 All mutations are serialized under one lock; event callbacks are invoked
 outside the lock (ports post them onto their device's main looper, so the
@@ -108,33 +111,20 @@ class RfidEnvironment:
 
     def move_tag_into_field(self, tag: SimulatedTag, port: NfcAdapterPort) -> None:
         """Bring ``tag`` into reading range of ``port`` (idempotent)."""
-        with self._lock:
-            self._check_owned(port)
-            observers = self._transport.insert(tag, port.name)
-            ports = [self._ports[name] for name in observers]
-        # The port routes the event to its generic listeners plus the
-        # listeners registered for exactly this tag (wakeup fan-out).
-        for observer in ports:
-            observer.dispatch_field_event(TagEntered(tag))
+        self.move_tags_into_field((tag,), port)
 
     def remove_tag_from_field(self, tag: SimulatedTag, port: NfcAdapterPort) -> None:
         """Take ``tag`` out of range of ``port`` (idempotent)."""
-        with self._lock:
-            self._check_owned(port)
-            observers = self._transport.remove(tag, port.name)
-            ports = [self._ports[name] for name in observers]
-        for observer in ports:
-            observer.dispatch_field_event(TagLeft(tag))
+        self.remove_tags_from_field((tag,), port)
 
     def move_tags_into_field(
         self, tags: Iterable[SimulatedTag], port: NfcAdapterPort
     ) -> int:
         """Bring many tags into ``port``'s field at once (idempotent).
 
-        Crowd-scale variant of :meth:`move_tag_into_field`: one lock
-        acquisition for the whole cohort, one bulk event dispatch for the
-        tags that actually entered. Returns how many tags were fresh
-        (not already in the field).
+        One lock acquisition for the whole cohort, one event dispatch per
+        observing port for the tags that actually entered. Returns how
+        many tags were fresh (not already in the field).
         """
         with self._lock:
             self._check_owned(port)
@@ -262,8 +252,8 @@ class RfidEnvironment:
             if pair in self._proximities:
                 return
             self._proximities.add(pair)
-        a.dispatch_field_event(PeerEntered(b.name))
-        b.dispatch_field_event(PeerEntered(a.name))
+        a.dispatch_field_events([PeerEntered(b.name)])
+        b.dispatch_field_events([PeerEntered(a.name)])
 
     def separate(self, a: NfcAdapterPort, b: NfcAdapterPort) -> None:
         """Move two phones out of Beam range (idempotent)."""
@@ -272,8 +262,8 @@ class RfidEnvironment:
             if pair not in self._proximities:
                 return
             self._proximities.discard(pair)
-        a.dispatch_field_event(PeerLeft(b.name))
-        b.dispatch_field_event(PeerLeft(a.name))
+        a.dispatch_field_events([PeerLeft(b.name)])
+        b.dispatch_field_events([PeerLeft(a.name)])
 
     def peers_of(self, port: NfcAdapterPort) -> List[NfcAdapterPort]:
         with self._lock:

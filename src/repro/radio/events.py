@@ -16,9 +16,9 @@ class FieldEvent:
 class TagFieldEvent(FieldEvent):
     """Base class for events about one specific tag.
 
-    The ``tag`` attribute lets ports route these to the listeners
-    registered for exactly that tag (``NfcAdapterPort.add_tag_listener``)
-    instead of fanning every event out to every listener -- with
+    The ``tag`` attribute lets the device's transaction scheduler route
+    these to the references of exactly that tag, found in its per-tag
+    dict, instead of fanning every event out to every reference -- with
     thousands of tag references per port, per-event cost stays O(1)
     in the number of references.
     """

@@ -1,9 +1,15 @@
 """One device's radio: the port through which all tag and Beam I/O flows.
 
 A port belongs to exactly one :class:`~repro.radio.environment.RfidEnvironment`
-and carries that device's link model and field-event listeners. Its
-operations are **blocking and failure-prone by design** -- they model the
-raw physical layer the Android tech classes wrap:
+and carries that device's link model and field-event listeners. Every
+field change reaches it through :meth:`NfcAdapterPort.dispatch_field_events`:
+batch listeners (the device's transaction scheduler, which routes a
+tag's events to that tag's references) see each change as one list,
+then per-event listeners (the NFC adapter, a Beamer) see each event.
+The port keeps no per-tag listeners.
+
+Its operations are **blocking and failure-prone by design** -- they
+model the raw physical layer the Android tech classes wrap:
 
 * the tag must currently be in the field (otherwise
   :class:`~repro.errors.NotInFieldError`),
@@ -16,7 +22,7 @@ raw physical layer the Android tech classes wrap:
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, List, Optional, TYPE_CHECKING
 
 from repro.clock import Clock
 from repro.errors import (
@@ -78,10 +84,6 @@ class NfcAdapterPort:
         # Listeners taking each dispatch's events as one list, ahead of
         # the per-event ones (see add_field_batch_listener).
         self._batch_listeners: List[Callable[[List[FieldEvent]], None]] = []
-        # Listeners interested in exactly one tag, keyed by tag identity;
-        # tag references register here so a field event touches only the
-        # listeners of the tag it concerns (O(1) fan-out, not O(refs)).
-        self._tag_listeners: Dict[SimulatedTag, List[Callable[[FieldEvent], None]]] = {}
         self._beam_handler: Optional[BeamHandler] = None
         self._snep_server: Optional[SnepServer] = None
         self._snep_get_provider: Optional[Callable[[str, bytes], Optional[bytes]]] = None
@@ -101,9 +103,6 @@ class NfcAdapterPort:
         # operation, one per batched session (the quantity the per-port
         # transaction scheduler amortizes).
         self.connects = 0
-        # Field events delivered to listeners (single + bulk dispatch);
-        # crowd benches watch this to size churn fan-out.
-        self.field_events_dispatched = 0
 
     def __repr__(self) -> str:
         return f"NfcAdapterPort({self.name!r}, link={self._link!r})"
@@ -152,72 +151,30 @@ class NfcAdapterPort:
             if listener in self._batch_listeners:
                 self._batch_listeners.remove(listener)
 
-    def snapshot_listeners(self) -> List[Callable[[FieldEvent], None]]:
-        with self._lock:
-            return list(self._listeners)
-
-    def add_tag_listener(
-        self, tag: SimulatedTag, listener: Callable[[FieldEvent], None]
-    ) -> None:
-        """Observe field events concerning ``tag`` only (O(1) routing)."""
-        with self._lock:
-            self._tag_listeners.setdefault(tag, []).append(listener)
-
-    def remove_tag_listener(
-        self, tag: SimulatedTag, listener: Callable[[FieldEvent], None]
-    ) -> None:
-        with self._lock:
-            listeners = self._tag_listeners.get(tag)
-            if listeners is None:
-                return
-            if listener in listeners:
-                listeners.remove(listener)
-            if not listeners:
-                del self._tag_listeners[tag]
-
     def dispatch_field_event(self, event: FieldEvent) -> None:
-        """Deliver ``event`` to the generic listeners plus -- for tag
-        events -- the listeners registered for that specific tag.
-
-        Called by the environment outside its own lock; listener bodies
-        are trivial (they post to loopers or wake reactor tasks)."""
-        with self._lock:
-            self.field_events_dispatched += 1
-            batch_targets = list(self._batch_listeners)
-            targets = list(self._listeners)
-            tag = getattr(event, "tag", None)
-            if tag is not None and tag in self._tag_listeners:
-                targets.extend(self._tag_listeners[tag])
-        for listener in batch_targets:
-            listener([event])
-        for listener in targets:
-            listener(event)
+        # Kept for perfbench/traced.py, which wraps it by name; nothing in
+        # the package calls it, so a traced run counts each dispatch once.
+        self.dispatch_field_events([event])
 
     def dispatch_field_events(self, events: List[FieldEvent]) -> None:
-        """Deliver a batch of field events (crowd-scale churn).
+        """Deliver one field change's events, in the caller's order.
 
-        One listener snapshot serves the whole batch instead of one lock
-        round-trip per event -- with hundreds of tags crossing a field
-        boundary in one churn step, the per-event snapshot is the
-        dominant dispatch cost. Per-tag listener routing is preserved
-        per event; delivery order within the batch is the caller's order.
+        Each batch listener receives the whole list, then each per-event
+        listener receives every event in turn. One listener snapshot
+        serves the whole list: with hundreds of tags crossing a field
+        boundary in one churn step, a lock round-trip per event would be
+        the dominant dispatch cost. Called by the environment outside its
+        own lock; listener bodies are trivial (they post to loopers or
+        wake reactor tasks).
         """
         if not events:
             return
         with self._lock:
-            self.field_events_dispatched += len(events)
             batch_targets = list(self._batch_listeners)
-            generic = list(self._listeners)
-            routed = []
-            for event in events:
-                targets = list(generic)
-                tag = getattr(event, "tag", None)
-                if tag is not None and tag in self._tag_listeners:
-                    targets.extend(self._tag_listeners[tag])
-                routed.append((event, targets))
+            targets = list(self._listeners)
         for listener in batch_targets:
             listener(events)
-        for event, targets in routed:
+        for event in events:
             for listener in targets:
                 listener(event)
 

@@ -11,8 +11,11 @@ This module is the seam that answers those questions. A
 :class:`Transport` owns the tag-visibility state of every port in one
 environment; the environment delegates all field reads and mutations to
 it and keeps doing what it always did with the answers (dispatch
-``TagEntered``/``TagLeft`` to the observing ports). Three
-implementations ship:
+``TagEntered``/``TagLeft`` to the observing ports). Every mutation is a
+bulk one: :meth:`Transport.insert_many` and :meth:`Transport.remove_many`
+take any number of tags (a single-tag move passes a one-tag tuple) and
+map each observer port to the tags it newly sees or stopped seeing.
+Three implementations ship:
 
 * :class:`LocalFieldTransport` -- today's simulated field, the
   behavior-preserving default. A tag is visible to exactly the port
@@ -79,32 +82,24 @@ class Transport:
 
     # -- topology mutations (under the env lock) -----------------------------------
 
-    def insert(self, tag: SimulatedTag, port_name: str) -> List[str]:
-        """Put ``tag`` into ``port_name``'s physical field.
-
-        Returns the names of the ports that *newly* see the tag (empty
-        when the insert was a no-op); the environment dispatches
-        ``TagEntered`` to each.
-        """
-        raise NotImplementedError
-
-    def remove(self, tag: SimulatedTag, port_name: str) -> List[str]:
-        """Take ``tag`` out of ``port_name``'s physical field.
-
-        Returns the names of the ports that stopped seeing the tag.
-        """
-        raise NotImplementedError
-
     def insert_many(
         self, tags: Iterable[SimulatedTag], port_name: str
     ) -> Dict[str, List[SimulatedTag]]:
-        """Bulk insert; maps observer port name -> tags it newly sees."""
+        """Put ``tags`` into ``port_name``'s physical field.
+
+        Maps each observer port's name to the tags it *newly* sees (no
+        entry when it sees none); the environment dispatches one
+        ``TagEntered`` per tag to each.
+        """
         raise NotImplementedError
 
     def remove_many(
         self, tags: Iterable[SimulatedTag], port_name: str
     ) -> Dict[str, List[SimulatedTag]]:
-        """Bulk remove; maps observer port name -> tags it stopped seeing."""
+        """Take ``tags`` out of ``port_name``'s physical field.
+
+        Maps each observer port's name to the tags it stopped seeing.
+        """
         raise NotImplementedError
 
     # -- topology queries (under the env lock) ---------------------------------------
@@ -163,28 +158,6 @@ class LocalFieldTransport(Transport):
 
     # -- mutations ---------------------------------------------------------------
 
-    def insert(self, tag: SimulatedTag, port_name: str) -> List[str]:
-        field = self._field(port_name)
-        if tag in field:
-            return []
-        observers = self._observers_of(port_name)
-        # An observer that already sees the tag through another path
-        # (its own field, another relayed remote) gets no second event.
-        already = [name for name in observers if self.sees(name, tag)]
-        field.add(tag)
-        return [name for name in observers if name not in already]
-
-    def remove(self, tag: SimulatedTag, port_name: str) -> List[str]:
-        field = self._field(port_name)
-        if tag not in field:
-            return []
-        field.discard(tag)
-        return [
-            name
-            for name in self._observers_of(port_name)
-            if not self.sees(name, tag)
-        ]
-
     def insert_many(
         self, tags: Iterable[SimulatedTag], port_name: str
     ) -> Dict[str, List[SimulatedTag]]:
@@ -193,6 +166,8 @@ class LocalFieldTransport(Transport):
         if not fresh:
             return {}
         observers = self._observers_of(port_name)
+        # An observer that already sees a tag through another path (its
+        # own field, another relayed remote) gets no second event for it.
         already = {
             name: {tag for tag in fresh if self.sees(name, tag)}
             for name in observers
@@ -401,14 +376,6 @@ class TraceTransport(LocalFieldTransport):
                 "this environment's field is driven by a recorded trace; "
                 "use TraceTransport.play()/step() instead of mutating it"
             )
-
-    def insert(self, tag: SimulatedTag, port_name: str) -> List[str]:
-        self._require_playback()
-        return super().insert(tag, port_name)
-
-    def remove(self, tag: SimulatedTag, port_name: str) -> List[str]:
-        self._require_playback()
-        return super().remove(tag, port_name)
 
     def insert_many(
         self, tags: Iterable[SimulatedTag], port_name: str

@@ -16,10 +16,13 @@ application code and the reference API never see it):
 * every device owns one :class:`PortTransactionScheduler` (lazily, see
   ``AndroidDevice.tx_scheduler``); every tag reference registers itself
   keyed by its simulated tag, and all of its radio work runs here. A
-  reference owns no reactor task: this scheduler serves its readiness
-  and its timeouts too. Each reference arms its earliest deadline on
-  the scheduler's one timeout heap, and every step first times out the
-  references whose armed deadline fell due;
+  reference owns no reactor task and no port listener: this scheduler
+  serves its readiness, its connectivity and its timeouts too. The
+  port's field events reach it as one batch listener, which finds a
+  tag's references in one dict lookup and passes each its presence.
+  Each reference arms its earliest deadline on the scheduler's one
+  timeout heap, and every step first times out the references whose
+  armed deadline fell due;
 * references and field events mark tags runnable on a
   :class:`PortReadyQueue` (a bulk field entry marks its whole cohort
   before the drain wakes); the scheduler runs as a **single serial
@@ -323,16 +326,32 @@ class TagServiceStats:
         }
 
 
+class _TagRecord(TagServiceStats):
+    """One registered tag: its references and its service telemetry
+    (guarded by the scheduler's lock).
+
+    ``references`` is a tuple, replaced on each (un)registration, so the
+    tuple read under the lock can be iterated once the lock is released.
+    """
+
+    __slots__ = ("references",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.references: Tuple["TagReference", ...] = ()
+
+
 class PortTransactionScheduler:
     """Batches the radio round-trips of co-located references per port.
 
     Created once per device (``AndroidDevice.tx_scheduler``). Every tag
     reference registers here; the scheduler owns all its radio execution
-    while its tag is in the field, and runs its timeouts when they fall
-    due. The queue rules, cancellation and listener settlement stay with
-    each reference — this layer decides *when the radio speaks and for
-    whom*, under the cross-tag service policy (see module docstring),
-    and when a reference's deadlines are checked.
+    while its tag is in the field, tells it when its tag enters or
+    leaves, and runs its timeouts when they fall due. The queue rules,
+    cancellation and listener settlement stay with each reference — this
+    layer decides *when the radio speaks and for whom*, under the
+    cross-tag service policy (see module docstring), and when a
+    reference's deadlines are checked.
     """
 
     def __init__(
@@ -352,7 +371,8 @@ class PortTransactionScheduler:
         self._port = port
         self._clock = clock
         self._lock = threading.Lock()
-        self._references: Dict[SimulatedTag, List["TagReference"]] = {}
+        # Every registered tag's references and service telemetry.
+        self._tags: Dict[SimulatedTag, _TagRecord] = {}
         self._ready = PortReadyQueue()
         # (deadline, seq, reference) entries armed by references; the
         # reactor wakes this task at each through ``schedule_at``.
@@ -362,14 +382,13 @@ class PortTransactionScheduler:
         self._policy = policy
         # Statistics, exposed for tests and benchmarks. The scalar
         # counters are only mutated on the single drain task; the
-        # per-tag map is additionally read/retired from other threads,
-        # so it is guarded by ``_lock`` (the leasing-stats pattern) and
-        # snapshotted via :meth:`stats_snapshot`.
+        # per-tag telemetry in ``_tags`` is additionally read/retired
+        # from other threads, so it is guarded by ``_lock`` (the
+        # leasing-stats pattern) and snapshotted via :meth:`stats_snapshot`.
         self.windows = 0  # batched sessions opened (tap windows served)
         self.batched_ops = 0  # operations settled inside batched sessions
         self.max_batch = 0  # largest single-session operation count
         self.preemptions = 0  # visits ended early for a waiting neighbour
-        self._tag_stats: Dict[SimulatedTag, TagServiceStats] = {}
         self._retired = TagServiceStats()  # folded stats of departed tags
         self._retired_tags = 0
         self._task = reactor.register(self._step, name=f"txsched-{port.name}")
@@ -377,7 +396,7 @@ class PortTransactionScheduler:
 
     def __repr__(self) -> str:
         with self._lock:
-            tags = len(self._references)
+            tags = len(self._tags)
         return (
             f"PortTransactionScheduler({self._port.name!r}, "
             f"policy={self._policy.name!r}, tags={tags}, "
@@ -393,38 +412,44 @@ class PortTransactionScheduler:
     # -- registration -----------------------------------------------------------
 
     def register(self, reference: "TagReference") -> None:
-        """Enroll a reference (keyed by its simulated tag)."""
+        """Enroll a reference (keyed by its simulated tag).
+
+        From this call on, the scheduler serves the reference's radio
+        work and passes it its tag's presence (see :meth:`_on_field_events`).
+        """
         tag = reference.tag.simulated
         with self._lock:
             if self._closed:
                 return
-            self._references.setdefault(tag, []).append(reference)
-            self._tag_stats.setdefault(tag, TagServiceStats())
+            record = self._tags.get(tag)
+            if record is None:
+                record = self._tags[tag] = _TagRecord()
+            record.references += (reference,)
 
     def unregister(self, reference: "TagReference") -> None:
         tag = reference.tag.simulated
         with self._lock:
-            references = self._references.get(tag)
-            if references is None:
+            record = self._tags.get(tag)
+            if record is None:
                 return
-            if reference in references:
-                references.remove(reference)
-            if references:
+            record.references = tuple(
+                other for other in record.references if other is not reference
+            )
+            if record.references:
                 return
-            del self._references[tag]
             # The departed tag's telemetry folds into the retired
             # aggregate so crowd-scale churn cannot grow the map
             # without bound.
-            stats = self._tag_stats.pop(tag, None)
-            if stats is not None:
-                self._retire_locked(stats)
+            del self._tags[tag]
+            self._retire_locked(record)
         # Last co-located reference gone: discard the tag's ready mark
         # so a stale runnable key cannot wake the drain for empty batches.
         self._ready.discard(tag)
 
     def references_for(self, tag: SimulatedTag) -> List["TagReference"]:
         with self._lock:
-            return list(self._references.get(tag, ()))
+            record = self._tags.get(tag)
+            return list(record.references) if record is not None else []
 
     # -- telemetry ---------------------------------------------------------------
 
@@ -438,8 +463,8 @@ class PortTransactionScheduler:
         """
         with self._lock:
             tags = {
-                tag.uid_hex: stats.as_dict()
-                for tag, stats in self._tag_stats.items()
+                tag.uid_hex: record.as_dict()
+                for tag, record in self._tags.items()
             }
             retired = self._retired.as_dict()
             retired.pop("time_to_first_service", None)
@@ -461,12 +486,6 @@ class PortTransactionScheduler:
         self._retired.starvation_ticks += stats.starvation_ticks
         self._retired_tags += 1
 
-    def _note_ready(self, tag: SimulatedTag) -> None:
-        with self._lock:
-            stats = self._tag_stats.get(tag)
-            if stats is not None and stats.first_ready_at is None:
-                stats.first_ready_at = self._clock.now()
-
     # -- wakeups ----------------------------------------------------------------
 
     def notify_runnable(self, reference: "TagReference") -> None:
@@ -475,9 +494,11 @@ class PortTransactionScheduler:
         queue lock)."""
         tag = reference.tag.simulated
         with self._lock:
-            if self._closed or tag not in self._references:
+            record = self._tags.get(tag)
+            if self._closed or record is None:
                 return
-        self._note_ready(tag)
+            if record.first_ready_at is None:
+                record.first_ready_at = self._clock.now()
         self._ready.mark(tag)
         self._task.wake()
 
@@ -492,26 +513,44 @@ class PortTransactionScheduler:
         self._task.schedule_at(deadline)
 
     def _on_field_events(self, events: List[FieldEvent]) -> None:
-        entered = []
+        """Route one field change to the registered tags' references.
+
+        Marks the entering cohort ready and wakes the drain, then passes
+        each reference of a registered tag its presence, in event order.
+        """
+        moves = []
         for event in events:
             if isinstance(event, TagEntered):
-                entered.append(event.tag)
+                moves.append((event.tag, True))
             elif isinstance(event, TagLeft):
                 # Absent tags drain nothing; drop the mark (TagEntered
                 # re-marks) so the ready set tracks the field.
                 self._ready.discard(event.tag)
+                moves.append((event.tag, False))
+        if not moves:
+            return
+        entered = []
+        presence = []
         with self._lock:
             if self._closed:
                 return
-            entered = [tag for tag in entered if tag in self._references]
-        if not entered:
-            return
-        for tag in entered:
-            self._note_ready(tag)
-        # The whole cohort is marked before the drain wakes, so its first
-        # round serves every entering tag once.
-        self._ready.mark_many(entered)
-        self._task.wake()
+            for tag, present in moves:
+                record = self._tags.get(tag)
+                if record is None:
+                    continue
+                if present:
+                    entered.append(tag)
+                    if record.first_ready_at is None:
+                        record.first_ready_at = self._clock.now()
+                presence.append((record.references, present))
+        if entered:
+            # The whole cohort is marked before the drain wakes, so its
+            # first round serves every entering tag once.
+            self._ready.mark_many(entered)
+            self._task.wake()
+        for references, present in presence:
+            for reference in references:
+                reference.set_connected(present)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -701,16 +740,16 @@ class PortTransactionScheduler:
     ) -> None:
         """Fold one visit's outcome into the tag's service telemetry."""
         with self._lock:
-            stats = self._tag_stats.get(tag)
-            if stats is None:
+            record = self._tags.get(tag)
+            if record is None:
                 return
             if ops > 0:
-                stats.quanta += 1
-                stats.ops += ops
-                stats.bytes_moved += bytes_moved
-                if stats.first_service_at is None:
-                    stats.first_service_at = self._clock.now()
+                record.quanta += 1
+                record.ops += ops
+                record.bytes_moved += bytes_moved
+                if record.first_service_at is None:
+                    record.first_service_at = self._clock.now()
             elif had_pending:
                 # The tag had backlog but this visit moved nothing
                 # (fenced, backed off, or torn before first settle).
-                stats.starvation_ticks += 1
+                record.starvation_ticks += 1

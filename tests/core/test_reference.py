@@ -13,12 +13,20 @@ import pytest
 from repro.concurrent import EventLog, wait_until
 from repro.core.operations import OperationOutcome
 from repro.errors import MorenaError, ReferenceStoppedError
+from repro.harness.scenario import Scenario
 from repro.ndef.message import NdefMessage
 from repro.ndef.mime import mime_record
 from repro.radio.link import FlakyThenGoodLink, ScriptedLink
+from repro.radio.transport import RelayTransport
 from repro.tags.factory import make_tag
 
-from tests.conftest import TEXT_TYPE, make_reference, text_message, text_tag
+from tests.conftest import (
+    TEXT_TYPE,
+    PlainNfcActivity,
+    make_reference,
+    text_message,
+    text_tag,
+)
 
 
 @pytest.fixture
@@ -298,22 +306,84 @@ class TestConnectivity:
         self, scenario, phone, activity, monkeypatch
     ):
         """A tag entering the field the moment the reference registers
-        its tag listener must not crash the dispatching thread: every
-        slot the handler reads is set before the listener goes live."""
+        with the port scheduler must not crash the dispatching thread:
+        every slot the scheduler's routing reads is set before the
+        reference registers."""
         tag = text_tag("racing")
-        register = phone.port.add_tag_listener
+        register = phone.tx_scheduler.register
 
-        def register_then_enter(simulated, listener):
-            register(simulated, listener)
-            scenario.put(simulated, phone)
+        def register_then_enter(reference):
+            register(reference)
+            scenario.put(tag, phone)
 
-        monkeypatch.setattr(phone.port, "add_tag_listener", register_then_enter)
+        monkeypatch.setattr(phone.tx_scheduler, "register", register_then_enter)
         reference = make_reference(activity, tag, phone)
         assert reference.is_connected
         done = EventLog()
         reference.write("landed", on_written=lambda r: done.append(1))
         assert done.wait_for_count(1)
         assert tag.read_ndef()[0].payload == b"landed"
+
+    def test_bulk_cohort_moves_fire_each_listener_once_per_transition(
+        self, scenario, phone, activity
+    ):
+        tags = [text_tag(f"cohort-{index}") for index in range(5)]
+        scenario.put_all(tags, phone)
+        logs = [EventLog() for _ in tags]
+        for tag, log in zip(tags, logs):
+            make_reference(activity, tag, phone).add_connectivity_listener(
+                lambda r, connected, log=log: log.append(connected)
+            )
+        scenario.take_all(tags, phone)
+        scenario.take_all(tags, phone)  # already gone: no transition
+        scenario.put_all(tags, phone)
+        scenario.put_all(tags, phone)  # already back: no transition
+        assert phone.sync()
+        assert [log.snapshot() for log in logs] == [[False, True]] * len(tags)
+
+    def test_relayed_field_moves_reach_the_reader_reference(self):
+        with Scenario(transport=RelayTransport()) as relayed:
+            reader = relayed.add_phone("reader")
+            remote = relayed.add_phone("remote")
+            app = relayed.start(reader, PlainNfcActivity)
+            tag = text_tag("relayed")
+            relayed.put(tag, remote)
+            reference = make_reference(app, tag, reader)
+            assert not reference.is_connected
+            log = EventLog()
+            reference.add_connectivity_listener(lambda r, c: log.append(c))
+            relayed.env.pair_fields(reader.port, remote.port)
+            relayed.env.unpair_fields(reader.port, remote.port)
+            assert reader.sync()
+            assert log.snapshot() == [True, False]
+
+    def test_stopped_reference_hears_no_later_moves(self, scenario, phone, ref, tag):
+        log = EventLog()
+        ref.add_connectivity_listener(lambda r, c: log.append(c))
+        ref.stop()
+        scenario.take(tag, phone)
+        scenario.put_all([tag], phone)
+        scenario.take_all([tag], phone)
+        assert phone.sync()
+        assert len(log) == 0
+
+    def test_references_of_two_activities_to_one_tag_both_hear_moves(
+        self, scenario, phone, tag
+    ):
+        scenario.put(tag, phone)
+        apps = [scenario.start(phone, PlainNfcActivity) for _ in range(2)]
+        references = [make_reference(app, tag, phone) for app in apps]
+        assert references[0] is not references[1]
+        assert phone.tx_scheduler.references_for(tag) == references
+        logs = [EventLog() for _ in references]
+        for reference, log in zip(references, logs):
+            reference.add_connectivity_listener(
+                lambda r, connected, log=log: log.append(connected)
+            )
+        scenario.take(tag, phone)
+        scenario.put(tag, phone)
+        assert phone.sync()
+        assert [log.snapshot() for log in logs] == [[False, True], [False, True]]
 
 
 class TestStop:

@@ -637,6 +637,35 @@ class TestMiddlewareHooks:
         # Give the detection callback a chance to (wrongly) fire.
         assert not wait_until(lambda: reporter.recorded > 0, timeout=0.2)
 
+    def test_attach_after_close_leaves_no_hook(self):
+        class Hooks:
+            """A discoverer, a reference or a lease manager, to a reporter."""
+
+            def __init__(self):
+                self.listeners = []
+
+            def add(self, listener):
+                self.listeners.append(listener)
+
+            def remove(self, listener):
+                self.listeners.remove(listener)
+
+            add_detection_listener = add_telemetry_listener = add
+            add_lease_listener = add
+            remove_detection_listener = remove_telemetry_listener = remove
+            remove_lease_listener = remove
+
+        sink = SinkGateway()
+        reporter = GatewayReporter(sink, "gate-0", flush_interval=None)
+        reporter.close()
+        discoverer, reference, manager = hooks = Hooks(), Hooks(), Hooks()
+        reporter.attach_discoverer(discoverer)
+        reporter.attach_reference(reference)
+        reporter.attach_lease_manager(manager)
+        reporter.close()
+        assert [len(hook.listeners) for hook in hooks] == [0, 0, 0]
+        assert sink.stream_sources == []
+
 
 class TestStreamDropRollup:
     def test_stream_shedding_counts_through_reporter(self, scenario):
